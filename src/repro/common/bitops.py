@@ -60,6 +60,17 @@ def fold_bits(value: int, width: int, target_bits: int) -> int:
     history bits are XORed together until the result fits the predictor
     index width (Section IV-A).
 
+    The fold runs in O(log(width / target_bits)) steps rather than one
+    step per chunk: each step splits the value at ``half``, the smallest
+    multiple of ``target_bits`` that is at least ``width / 2``, and XORs
+    the high part onto the low part.  Because ``half`` is a multiple of
+    ``target_bits``, chunk ``j`` of the high part is chunk
+    ``j + half / target_bits`` of the value, so every chunk boundary is
+    preserved and each step leaves the XOR of all chunks unchanged.  The
+    high part is at most ``half`` bits wide and ``half < width`` while
+    ``width > target_bits``, so the loop ends with a single chunk: the
+    XOR of every ``target_bits``-wide chunk of the original value.
+
     >>> fold_bits(0b1011_0110, 8, 4)
     13
     """
@@ -67,9 +78,9 @@ def fold_bits(value: int, width: int, target_bits: int) -> int:
         raise ValueError(f"target width must be positive, got {target_bits}")
     if width < 0:
         raise ValueError(f"source width must be non-negative, got {width}")
-    value &= mask(width)
-    folded = 0
-    while value:
-        folded ^= value & mask(target_bits)
-        value >>= target_bits
-    return folded
+    value &= (1 << width) - 1
+    while width > target_bits:
+        half = -(-width // (2 * target_bits)) * target_bits
+        value = (value & ((1 << half) - 1)) ^ (value >> half)
+        width = half
+    return value

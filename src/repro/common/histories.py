@@ -99,7 +99,7 @@ class FoldedHistory:
     at position 0 and cancels the outgoing bit at its folded position.
     """
 
-    __slots__ = ("_outgoing_pos", "length", "value", "width")
+    __slots__ = ("_mask", "_outgoing_pos", "_top", "length", "value", "width")
 
     def __init__(self, length: int, width: int) -> None:
         if length < 0:
@@ -109,21 +109,26 @@ class FoldedHistory:
         self.length = length
         self.width = width
         self._outgoing_pos = length % width
+        self._mask = mask(width)
+        self._top = width - 1
         self.value = 0
 
     def update(self, incoming: int, outgoing: int) -> None:
-        """Shift in the newest bit and cancel the bit leaving the window."""
+        """Shift in the newest bit and cancel the bit leaving the window.
+
+        ``incoming`` and ``outgoing`` are single bits (0/1).
+        """
         if self.length == 0:
             return
         v = self.value
-        # Rotate left by 1 within `width` bits, then inject the new bit.
-        v = ((v << 1) | incoming) & mask(self.width)
-        v ^= (self.value >> (self.width - 1)) & 1
-        # The outgoing bit was injected `length` updates ago; after the
-        # rotations it sits at position length % width.
-        v ^= outgoing << self._outgoing_pos
-        v &= mask(self.width)
-        self.value = v
+        # Rotate left by 1 within `width` bits (the top bit wraps to bit 0)
+        # and inject the new bit.  The outgoing bit was injected `length`
+        # updates ago; after the rotations it sits at length % width.
+        self.value = (
+            (((v << 1) | incoming) & self._mask)
+            ^ (v >> self._top)
+            ^ (outgoing << self._outgoing_pos)
+        )
 
     def clear(self) -> None:
         self.value = 0

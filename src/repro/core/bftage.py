@@ -9,8 +9,12 @@ are the paper's (Section VI-C); smaller table counts use prefixes.
 
 Because the BF-GHR is re-ordered by recency-stack management on every
 commit, its folds cannot be maintained incrementally like TAGE's CSRs;
-the predictor re-folds the (at most ~144-element) BF-GHR prefix per
-prediction, modelling the same hardware hash tree.
+the predictor re-folds each table's BF-GHR prefix per prediction,
+modelling the same hardware hash tree.  At 3 bits per position the
+longest (142-position) prefix is 426 bits, folded three times per table
+(index and two tag widths) by the log-step XOR fold of
+:func:`repro.common.bitops.fold_bits`; the per-table fold geometry is
+fixed at construction.
 
 ``BFISLTage`` adds the loop predictor and statistical corrector overlay,
 mirroring BF-ISL-TAGE in Figure 10.
@@ -119,25 +123,41 @@ class BFTage(Tage):
             rs_size=self.bf_config.rs_size,
             unfiltered_bits=self.bf_config.unfiltered_bits,
         )
+        # Per-table fold geometry, fixed by the configuration: (table,
+        # prefix width at 3 bits per position, prefix mask, index fold
+        # width, the two tag fold widths).
+        self._max_length = self.config.history_lengths[-1]
+        self._fold_geometry = tuple(
+            (
+                table,
+                3 * length,
+                mask(3 * length),
+                table.log2_entries,
+                table.tag_bits,
+                max(1, table.tag_bits - 1),
+            )
+            for table, length in zip(self.tables, self.config.history_lengths)
+        )
 
     # ------------------------------------------------------------------
     # Index computation from the BF-GHR
     # ------------------------------------------------------------------
 
     def _compute_indices(self, pc: int) -> None:
-        lengths = self.config.history_lengths
-        packed_full, _ = self.segments.packed_ghr(lengths[-1])
-        path = self._path_history & mask(self.config.path_bits)
+        packed_full, _ = self.segments.packed_ghr(self._max_length)
+        path = self._path_history & self._path_mask
         indices = self._last_indices
         tags = self._last_tags
-        for i, table in enumerate(self.tables):
-            width = 3 * lengths[i]
-            prefix = packed_full & mask(width)
-            index_fold = fold_bits(prefix, width, table.log2_entries)
-            indices[i] = table.index_of(pc, index_fold, path)
-            tag_fold_1 = fold_bits(prefix, width, table.tag_bits)
-            tag_fold_2 = fold_bits(prefix, width, max(1, table.tag_bits - 1))
-            tags[i] = table.tag_of(pc, tag_fold_1, tag_fold_2)
+        for i, (table, width, prefix_mask, index_bits, tag_bits, tag2_bits) in enumerate(
+            self._fold_geometry
+        ):
+            prefix = packed_full & prefix_mask
+            indices[i] = table.index_of(pc, fold_bits(prefix, width, index_bits), path)
+            tags[i] = table.tag_of(
+                pc,
+                fold_bits(prefix, width, tag_bits),
+                fold_bits(prefix, width, tag2_bits),
+            )
 
     # ------------------------------------------------------------------
     # History advance: BST classification feeds the segmented stacks
@@ -150,9 +170,9 @@ class BFTage(Tage):
             self.bst.observe(pc, taken)
             non_biased = self.bst.is_non_biased(pc)
         self.segments.commit(pc, taken, non_biased)
-        self._path_history = ((self._path_history << 1) | (pc & 1)) & mask(
-            self.config.path_bits
-        )
+        self._path_history = (
+            (self._path_history << 1) | (pc & 1)
+        ) & self._path_mask
 
     def reset(self) -> None:
         self.__init__(self.bf_config, self.bias_oracle)

@@ -31,7 +31,7 @@ DEFAULT_BOUNDARIES = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class _SegmentEntry:
     hashed_pc: int
     stamp: int  # commit index of this occurrence
@@ -94,23 +94,29 @@ class SegmentedRecencyStacks:
 
         # One boundary-crossing event per boundary per commit: the branch
         # whose depth just became boundary+1 leaves the segment above the
-        # boundary (if any) and enters the one below it (if any).
+        # boundary (if any) and enters the one below it (if any).  Only
+        # non-biased records ever enter a segment, and stamps are unique,
+        # so a biased record has nothing to remove either.
         # Bound methods and counters are hoisted — this loop runs per
         # committed branch over every boundary (REPRO402).
-        at_depth = self._at_depth
         remove = self._remove
         insert = self._insert
+        ring = self._ring
+        ring_len = len(ring)
         head = self._head
+        count = self._count
         num_segments = self.num_segments
         for k, boundary in enumerate(self.boundaries):
-            record = at_depth(boundary + 1)
-            if record is None:
+            depth = boundary + 1
+            if depth > count:
                 break  # deeper boundaries cannot have been reached either
-            hashed_pc, outcome, was_non_biased = record
-            stamp = head - (boundary + 1)
+            hashed_pc, outcome, was_non_biased = ring[(head - depth) % ring_len]
+            if not was_non_biased:
+                continue
+            stamp = head - depth
             if k > 0:
                 remove(k - 1, hashed_pc, stamp)
-            if k < num_segments and was_non_biased:
+            if k < num_segments:
                 insert(k, hashed_pc, stamp, outcome)
 
     def _remove(self, segment: int, hashed_pc: int, stamp: int) -> None:
@@ -173,28 +179,30 @@ class SegmentedRecencyStacks:
         ``max_length`` positions are packed.
         """
         packed = 0
-        position = 0
+        shift = 0
         ring = self._ring
         ring_len = len(ring)
         head = self._head
         upto = min(self.unfiltered_bits, self._count, max_length)
+        # Outcomes are bools: ``outcome | x`` is the int ``int(outcome) | x``.
         for depth in range(1, upto + 1):
             hashed_pc, outcome, _ = ring[(head - depth) % ring_len]
-            packed |= (int(outcome) | ((hashed_pc & 3) << 1)) << (3 * position)
-            position += 1
+            packed |= (outcome | (hashed_pc & 3) << 1) << shift
+            shift += 3
+        position = upto
         if position < self.unfiltered_bits:
             position = min(self.unfiltered_bits, max_length)
         if position >= max_length:
             return packed, position
+        shift = 3 * position
+        limit = 3 * max_length
         for entries in self._segments:
             for entry in entries:
-                packed |= (
-                    int(entry.outcome) | ((entry.hashed_pc & 3) << 1)
-                ) << (3 * position)
-                position += 1
-                if position >= max_length:
-                    return packed, position
-        return packed, position
+                packed |= (entry.outcome | (entry.hashed_pc & 3) << 1) << shift
+                shift += 3
+                if shift >= limit:
+                    return packed, max_length
+        return packed, shift // 3
 
     def max_ghr_length(self) -> int:
         """Upper bound on BF-GHR length (all segment RSs full)."""

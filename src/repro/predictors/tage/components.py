@@ -65,6 +65,7 @@ class TaggedTable:
         self.log2_entries = log2_entries
         self.entries = 1 << log2_entries
         self.tag_bits = tag_bits
+        self.tag_mask = mask(tag_bits)
         self.history_length = history_length
         self.ctr = [0] * self.entries
         self.tag = [0] * self.entries
@@ -79,7 +80,7 @@ class TaggedTable:
     def tag_of(self, pc: int, tag_fold_1: int, tag_fold_2: int) -> int:
         """Compute the partial tag."""
         value = pc ^ tag_fold_1 ^ (tag_fold_2 << 1)
-        return value & mask(self.tag_bits)
+        return value & self.tag_mask
 
     def predict_at(self, index: int) -> bool:
         return self.ctr[index] >= 0

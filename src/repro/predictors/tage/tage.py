@@ -156,6 +156,7 @@ class Tage(BranchPredictor):
         self._history_head = 0
         self._history_capacity = max_history + 1
         self._path_history = 0
+        self._path_mask = mask(cfg.path_bits)
         self._rng = XorShift64(cfg.seed)
         self._use_alt_on_na = 8  # 4-bit counter, midpoint
         self._branch_count = 0
@@ -176,7 +177,7 @@ class Tage(BranchPredictor):
     def _compute_indices(self, pc: int) -> None:
         # Scratch lists and the fold ladder are hoisted to locals: this
         # runs once per branch event over every table (REPRO402).
-        path = self._path_history & mask(self.config.path_bits)
+        path = self._path_history & self._path_mask
         indices = self._last_indices
         tags = self._last_tags
         for i, (table, folds) in enumerate(zip(self.tables, self._folds)):
@@ -328,9 +329,9 @@ class Tage(BranchPredictor):
             folds.update(incoming, outgoing)
         buffer[head % capacity] = incoming
         self._history_head = (head + 1) % capacity
-        self._path_history = ((self._path_history << 1) | (pc & 1)) & mask(
-            self.config.path_bits
-        )
+        self._path_history = (
+            (self._path_history << 1) | (pc & 1)
+        ) & self._path_mask
 
     def reset(self) -> None:
         """Restore power-on state (subclasses with extra constructor

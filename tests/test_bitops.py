@@ -1,10 +1,20 @@
 """Unit and property tests for repro.common.bitops."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bitops import fold_bits, hash_combine, is_power_of_two, mask, mix64
+
+
+def linear_fold(value: int, width: int, target: int) -> int:
+    """Reference fold, one bit at a time: bit ``i`` of the low ``width``
+    bits lands on bit ``i % target``.  Independent of ``fold_bits``."""
+    folded = 0
+    for position in range(width):
+        if (value >> position) & 1:
+            folded ^= 1 << (position % target)
+    return folded
 
 
 class TestMask:
@@ -114,3 +124,60 @@ class TestFoldBits:
         left = fold_bits(value ^ other, 64, target)
         right = fold_bits(value, 64, target) ^ fold_bits(other, 64, target)
         assert left == right
+
+    def test_reference_matches_worked_example(self):
+        assert linear_fold(0b1011_0110, 8, 4) == 0b1101
+
+    @given(
+        st.integers(min_value=0, max_value=2100),
+        st.integers(min_value=1, max_value=40),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_reference(self, width, target, data):
+        """Log-step fold == chunk-by-chunk XOR, including bits above
+        ``width`` and negative values (two's complement, infinitely
+        sign-extended), which must both be masked away first."""
+        span = 1 << (width + 70)
+        value = data.draw(st.integers(min_value=-span, max_value=span - 1))
+        assert fold_bits(value, width, target) == linear_fold(value, width, target)
+
+    @given(st.integers(min_value=1, max_value=40), st.data())
+    def test_width_not_above_target_is_masked_identity(self, target, data):
+        width = data.draw(st.integers(min_value=0, max_value=target))
+        value = data.draw(st.integers(min_value=-(1 << 64), max_value=1 << 64))
+        assert fold_bits(value, width, target) == value & ((1 << width) - 1)
+        assert fold_bits(value, width, target) == linear_fold(value, width, target)
+
+    def test_bits_above_width_ignored(self):
+        low = 0b1101_0110_0011
+        for high in (1, 0xFFFF, 1 << 500):
+            value = low | (high << 12)
+            assert fold_bits(value, 12, 5) == fold_bits(low, 12, 5)
+            assert fold_bits(value, 12, 5) == linear_fold(low, 12, 5)
+
+    def test_negative_values(self):
+        for value in (-1, -2, -(1 << 300) + 12345):
+            for width, target in ((10, 4), (426, 11), (426, 14), (1920, 7), (3, 5)):
+                assert fold_bits(value, width, target) == linear_fold(
+                    value, width, target
+                )
+        # -1 has every bit set: 10 bits folded to 4 = 1111 ^ 1111 ^ 11.
+        assert fold_bits(-1, 10, 4) == 0b0011
+
+    def test_bf_tage_prefix_geometry(self):
+        """Every (prefix width, fold width) pair BF-TAGE-10 uses."""
+        import random
+
+        from repro.core.bftage import BFTageConfig
+
+        cfg = BFTageConfig()
+        rnd = random.Random(0xF01D)
+        for length, log2, tag in zip(cfg.history_lengths, cfg.log2_entries, cfg.tag_bits):
+            width = 3 * length
+            for _ in range(20):
+                value = rnd.getrandbits(width + 30)
+                for target in (log2, tag, max(1, tag - 1)):
+                    assert fold_bits(value, width, target) == linear_fold(
+                        value, width, target
+                    )

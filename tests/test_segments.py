@@ -173,3 +173,102 @@ class TestInvariants:
         bits, addrs = seg.ghr_components()
         assert len(bits) == len(addrs)
         assert all(bit in (0, 1) for bit in bits)
+
+
+class UnconditionalRemoveStacks(SegmentedRecencyStacks):
+    """Reference commit that scans for a removal on every boundary
+    crossing, biased records included."""
+
+    def commit(self, pc: int, taken: bool, non_biased: bool) -> None:
+        self._ring[self._head % len(self._ring)] = (
+            pc & ((1 << self.hashed_pc_bits) - 1),
+            taken,
+            non_biased,
+        )
+        self._head += 1
+        if self._count < len(self._ring):
+            self._count += 1
+        for k, boundary in enumerate(self.boundaries):
+            record = self._at_depth(boundary + 1)
+            if record is None:
+                break
+            hashed_pc, outcome, was_non_biased = record
+            stamp = self._head - (boundary + 1)
+            if k > 0:
+                self._remove(k - 1, hashed_pc, stamp)
+            if k < self.num_segments and was_non_biased:
+                self._insert(k, hashed_pc, stamp, outcome)
+
+
+def commit_stream(seed: int, count: int, distinct_pcs: int, non_biased_share: float):
+    """Random (pc, taken, non_biased) commits over a small pc pool.
+
+    Half the pool aliases the other half under the 14-bit hash, so
+    duplicate hashed PCs come from distinct addresses as well as from
+    repeats.
+    """
+    import random
+
+    rnd = random.Random(seed)
+    base = [rnd.randrange(1 << 14) for _ in range(max(1, distinct_pcs // 2))]
+    pool = base + [pc | (rnd.randrange(1, 64) << 14) for pc in base]
+    return [
+        (rnd.choice(pool), bool(rnd.getrandbits(1)), rnd.random() < non_biased_share)
+        for _ in range(count)
+    ]
+
+
+class TestCommitSkipDifferential:
+    """The biased-record removal skip leaves every snapshot unchanged."""
+
+    @staticmethod
+    def run_pair(make, events, restore_at, compare):
+        fast = make(SegmentedRecencyStacks)
+        reference = make(UnconditionalRemoveStacks)
+        for position, (pc, taken, non_biased) in enumerate(events):
+            if position == restore_at:
+                state = fast.snapshot()
+                assert state == reference.snapshot()
+                fast = make(SegmentedRecencyStacks)
+                fast.restore(state)
+                reference = make(UnconditionalRemoveStacks)
+                reference.restore(state)
+            fast.commit(pc, taken, non_biased)
+            reference.commit(pc, taken, non_biased)
+            assert compare(fast) == compare(reference), position
+        assert fast.snapshot() == reference.snapshot()
+        return fast
+
+    @staticmethod
+    def raw_state(seg):
+        """Everything :meth:`snapshot` serializes, without re-encoding the
+        2,050-record commit ring on every commit."""
+        return seg._segments, seg._ring, seg._head, seg._count
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=24),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_small_stacks_random_streams(self, seed, distinct_pcs, share, rs_size):
+        def make(cls):
+            return cls(boundaries=[4, 8, 16, 32, 64], rs_size=rs_size, unfiltered_bits=4)
+
+        events = commit_stream(seed, 600, distinct_pcs, share)
+        self.run_pair(
+            make, events, restore_at=seed % 600, compare=SegmentedRecencyStacks.snapshot
+        )
+
+    @pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+    def test_default_segmentation_long_stream(self, share):
+        """Paper segmentation, past the deepest (2048) boundary, with
+        full 8-entry RSs evicting and a mid-stream restore."""
+
+        def make(cls):
+            return cls()
+
+        events = commit_stream(int(share * 100), 2300, 48, share)
+        fast = self.run_pair(make, events, restore_at=1500, compare=self.raw_state)
+        assert max(fast.segment_fill()) == fast.rs_size
