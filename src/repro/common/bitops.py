@@ -9,6 +9,8 @@ mixer used where the paper says "hash".
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _U64 = (1 << 64) - 1
 
 
@@ -53,12 +55,16 @@ def hash_combine(*values: int) -> int:
     return acc
 
 
-def fold_bits(value: int, width: int, target_bits: int) -> int:
-    """Fold a ``width``-bit value down to ``target_bits`` by XOR of chunks.
+@lru_cache(maxsize=None)
+def fold_schedule(width: int, target_bits: int) -> tuple[tuple[int, int], ...]:
+    """The split steps that fold a ``width``-bit value to ``target_bits``.
 
-    This is the paper's "folded" global history: consecutive groups of
-    history bits are XORed together until the result fits the predictor
-    index width (Section IV-A).
+    Each step is a ``(half, low_mask)`` pair applied as
+    ``value = (value & low_mask) ^ (value >> half)`` to a value already
+    masked to ``width`` bits; the schedule is empty when
+    ``width <= target_bits``.  This is the paper's "folded" global
+    history: consecutive groups of history bits are XORed together until
+    the result fits the predictor index width (Section IV-A).
 
     The fold runs in O(log(width / target_bits)) steps rather than one
     step per chunk: each step splits the value at ``half``, the smallest
@@ -68,19 +74,46 @@ def fold_bits(value: int, width: int, target_bits: int) -> int:
     ``j + half / target_bits`` of the value, so every chunk boundary is
     preserved and each step leaves the XOR of all chunks unchanged.  The
     high part is at most ``half`` bits wide and ``half < width`` while
-    ``width > target_bits``, so the loop ends with a single chunk: the
-    XOR of every ``target_bits``-wide chunk of the original value.
+    ``width > target_bits``, so the schedule ends with a single chunk:
+    the XOR of every ``target_bits``-wide chunk of the original value.
 
-    >>> fold_bits(0b1011_0110, 8, 4)
-    13
+    Schedules are cached: a caller with fixed geometry (BF-TAGE's
+    per-table prefixes) looks its schedules up once and applies them
+    inline.
+
+    >>> fold_schedule(8, 4)
+    ((4, 15),)
     """
     if target_bits <= 0:
         raise ValueError(f"target width must be positive, got {target_bits}")
     if width < 0:
         raise ValueError(f"source width must be non-negative, got {width}")
-    value &= (1 << width) - 1
-    while width > target_bits:
-        half = -(-width // (2 * target_bits)) * target_bits
-        value = (value & ((1 << half) - 1)) ^ (value >> half)
-        width = half
+    if width <= target_bits:
+        return ()
+    half = -(-width // (2 * target_bits)) * target_bits
+    return ((half, (1 << half) - 1),) + fold_schedule(half, target_bits)
+
+
+@lru_cache(maxsize=None)
+def _fold_plan(width: int, target_bits: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The source-width mask and schedule :func:`fold_bits` applies."""
+    schedule = fold_schedule(width, target_bits)  # validates the widths first
+    return (1 << width) - 1, schedule
+
+
+def fold_bits(value: int, width: int, target_bits: int) -> int:
+    """Fold a ``width``-bit value down to ``target_bits`` by XOR of chunks.
+
+    Bits of ``value`` above ``width`` are ignored; the fold itself is
+    :func:`fold_schedule`'s.
+
+    >>> fold_bits(0b1011_0110, 8, 4)
+    13
+    """
+    if 0 <= width <= target_bits and target_bits > 0:
+        return value & ((1 << width) - 1)
+    width_mask, schedule = _fold_plan(width, target_bits)
+    value &= width_mask
+    for half, low_mask in schedule:
+        value = (value & low_mask) ^ (value >> half)
     return value

@@ -8,13 +8,15 @@ the 10-table configuration, {3, 8, 14, 26, 40, 54, 70, 94, 118, 142},
 are the paper's (Section VI-C); smaller table counts use prefixes.
 
 Because the BF-GHR is re-ordered by recency-stack management on every
-commit, its folds cannot be maintained incrementally like TAGE's CSRs;
-the predictor re-folds each table's BF-GHR prefix per prediction,
-modelling the same hardware hash tree.  At 3 bits per position the
-longest (142-position) prefix is 426 bits, folded three times per table
-(index and two tag widths) by the log-step XOR fold of
-:func:`repro.common.bitops.fold_bits`; the per-table fold geometry is
-fixed at construction.
+commit, its folds cannot be maintained incrementally like TAGE's CSRs.
+The BF-GHR itself is kept packed incrementally, per segment, by
+:class:`~repro.core.segments.SegmentedRecencyStacks`; the predictor
+re-folds each table's BF-GHR prefix per prediction, modelling the same
+hardware hash tree.  At 3 bits per position the longest (142-position)
+prefix is 426 bits, folded three times per table (index and two tag
+widths) by the log-step XOR fold of
+:func:`repro.common.bitops.fold_schedule`.  The per-table schedules are
+fixed at construction and applied inline.
 
 ``BFISLTage`` adds the loop predictor and statistical corrector overlay,
 mirroring BF-ISL-TAGE in Figure 10.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.bitops import fold_bits, mask
+from repro.common.bitops import fold_schedule, mask
 from repro.common.state import expect_keys
 from repro.core.bst import BranchStatusTable
 from repro.core.segments import DEFAULT_BOUNDARIES, SegmentedRecencyStacks
@@ -124,17 +126,16 @@ class BFTage(Tage):
             unfiltered_bits=self.bf_config.unfiltered_bits,
         )
         # Per-table fold geometry, fixed by the configuration: (table,
-        # prefix width at 3 bits per position, prefix mask, index fold
-        # width, the two tag fold widths).
+        # prefix mask at 3 bits per position, then the fold schedules to
+        # the index width and to the two tag widths).
         self._max_length = self.config.history_lengths[-1]
         self._fold_geometry = tuple(
             (
                 table,
-                3 * length,
                 mask(3 * length),
-                table.log2_entries,
-                table.tag_bits,
-                max(1, table.tag_bits - 1),
+                fold_schedule(3 * length, table.log2_entries),
+                fold_schedule(3 * length, table.tag_bits),
+                fold_schedule(3 * length, max(1, table.tag_bits - 1)),
             )
             for table, length in zip(self.tables, self.config.history_lengths)
         )
@@ -148,16 +149,21 @@ class BFTage(Tage):
         path = self._path_history & self._path_mask
         indices = self._last_indices
         tags = self._last_tags
-        for i, (table, width, prefix_mask, index_bits, tag_bits, tag2_bits) in enumerate(
+        for i, (table, prefix_mask, index_steps, tag_steps, tag2_steps) in enumerate(
             self._fold_geometry
         ):
+            # The three folds of fold_bits(prefix, 3 * length, width),
+            # inline: ``prefix`` is already masked to its width.
             prefix = packed_full & prefix_mask
-            indices[i] = table.index_of(pc, fold_bits(prefix, width, index_bits), path)
-            tags[i] = table.tag_of(
-                pc,
-                fold_bits(prefix, width, tag_bits),
-                fold_bits(prefix, width, tag2_bits),
-            )
+            index_fold = tag_fold = tag2_fold = prefix
+            for half, low_mask in index_steps:
+                index_fold = (index_fold & low_mask) ^ (index_fold >> half)
+            for half, low_mask in tag_steps:
+                tag_fold = (tag_fold & low_mask) ^ (tag_fold >> half)
+            for half, low_mask in tag2_steps:
+                tag2_fold = (tag2_fold & low_mask) ^ (tag2_fold >> half)
+            indices[i] = table.index_of(pc, index_fold, path)
+            tags[i] = table.tag_of(pc, tag_fold, tag2_fold)
 
     # ------------------------------------------------------------------
     # History advance: BST classification feeds the segmented stacks

@@ -17,13 +17,32 @@ entries, shallow segment first, most recent entry first.  Only valid
 entries are packed, so the compression — and therefore the effective
 reach of a given number of BF-GHR bits — grows with the biased-branch
 fraction of the workload, which is exactly the paper's premise.
+
+Every entry carries a *stamp*, the commit index of its occurrence.
+Segment *k* only gains entries at its front, each stamped
+``head - (boundary_k + 1)`` for a commit counter ``head`` that only
+grows, and dedup removes entries without reordering the rest.  So each
+segment's entries are strictly stamp-descending: the deepest entry is
+the last one, which makes eviction a ``pop()``, and the record leaving
+at the deep boundary, if it is still there, is the last entry too.
+:meth:`SegmentedRecencyStacks.restore` rejects snapshots that break
+this invariant.
+
+Two packed registers are derived from that state, at 3 bits per
+position (``outcome | (addr & 3) << 1``, most recent position lowest):
+a window over the ``unfiltered_bits`` latest commits, shifted in per
+commit, and one word per segment, spliced by a constant number of
+shift and mask operations on every insert, dedup, eviction and
+removal.  A prediction ORs them together at running offsets instead of
+walking up to 142 entries.  Neither register is part of a snapshot;
+``restore`` rebuilds both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.state import expect_keys, expect_length
+from repro.common.state import StateError, expect_keys, expect_length
 
 #: The paper's history segmentation (Section VI-C).
 DEFAULT_BOUNDARIES = [
@@ -72,6 +91,16 @@ class SegmentedRecencyStacks:
         self._ring: list[tuple[int, bool, bool]] = [(0, False, False)] * depth_needed
         self._head = 0
         self._count = 0
+        self._pc_mask = (1 << hashed_pc_bits) - 1
+        # (segment index, raw depth) of each boundary crossing, shallow first.
+        self._crossings = tuple((k, boundary + 1) for k, boundary in enumerate(self.boundaries))
+        # _word_masks[n] keeps the first n positions of a segment word.
+        self._word_masks = tuple((1 << 3 * n) - 1 for n in range(rs_size + 1))
+        # Derived packed registers (see the module docstring).
+        self._window_bits = 3 * unfiltered_bits
+        self._window_mask = (1 << self._window_bits) - 1
+        self._window = 0
+        self._words = [0] * self.num_segments
 
     # ------------------------------------------------------------------
 
@@ -83,13 +112,15 @@ class SegmentedRecencyStacks:
 
     def commit(self, pc: int, taken: bool, non_biased: bool) -> None:
         """Record a committed branch and advance every segment."""
-        self._ring[self._head % len(self._ring)] = (
-            pc & ((1 << self.hashed_pc_bits) - 1),
-            taken,
-            non_biased,
-        )
+        hashed_pc = pc & self._pc_mask
+        ring = self._ring
+        ring_len = len(ring)
+        ring[self._head % ring_len] = (hashed_pc, taken, non_biased)
+        self._window = (
+            (self._window << 3) | taken | (hashed_pc & 3) << 1
+        ) & self._window_mask
         self._head += 1
-        if self._count < len(self._ring):
+        if self._count < ring_len:
             self._count += 1
 
         # One boundary-crossing event per boundary per commit: the branch
@@ -101,48 +132,51 @@ class SegmentedRecencyStacks:
         # committed branch over every boundary (REPRO402).
         remove = self._remove
         insert = self._insert
-        ring = self._ring
-        ring_len = len(ring)
         head = self._head
         count = self._count
         num_segments = self.num_segments
-        for k, boundary in enumerate(self.boundaries):
-            depth = boundary + 1
+        for k, depth in self._crossings:
             if depth > count:
                 break  # deeper boundaries cannot have been reached either
-            hashed_pc, outcome, was_non_biased = ring[(head - depth) % ring_len]
+            crossing_pc, outcome, was_non_biased = ring[(head - depth) % ring_len]
             if not was_non_biased:
                 continue
             stamp = head - depth
             if k > 0:
-                remove(k - 1, hashed_pc, stamp)
+                remove(k - 1, crossing_pc, stamp)
             if k < num_segments:
-                insert(k, hashed_pc, stamp, outcome)
+                insert(k, crossing_pc, stamp, outcome)
 
     def _remove(self, segment: int, hashed_pc: int, stamp: int) -> None:
+        """Drop the record (``hashed_pc``, ``stamp``) leaving at the deep
+        boundary.  It is the oldest record the segment can hold, so it is
+        the last entry if it is there at all; stamps are unique, so the
+        stamp alone identifies it."""
         entries = self._segments[segment]
-        for position, entry in enumerate(entries):
-            if entry.hashed_pc == hashed_pc and entry.stamp == stamp:
-                del entries[position]
-                return
+        if entries and entries[-1].stamp == stamp:
+            entries.pop()
+            self._words[segment] &= self._word_masks[len(entries)]
 
     def _insert(self, segment: int, hashed_pc: int, stamp: int, outcome: bool) -> None:
         entries = self._segments[segment]
+        word = self._words[segment]
         # Dedup: a new occurrence evicts an older one of the same address.
         for position, entry in enumerate(entries):
             if entry.hashed_pc == hashed_pc:
                 del entries[position]
+                # Splice its 3 bits out: the positions below stay, the
+                # ones above move down by one.
+                shift = 3 * position
+                word = (word & self._word_masks[position]) | (word >> (shift + 3) << shift)
                 break
         entries.insert(0, _SegmentEntry(hashed_pc, stamp, outcome))
+        word = (word << 3) | outcome | (hashed_pc & 3) << 1
         if len(entries) > self.rs_size:
-            # Evict the deepest (oldest stamp) entry.  Explicit scan —
-            # min(..., key=lambda...) builds a closure per eviction
-            # (REPRO404); first minimal index wins, same as min().
-            deepest = 0
-            for position in range(1, len(entries)):
-                if entries[position].stamp < entries[deepest].stamp:
-                    deepest = position
-            del entries[deepest]
+            # Evict the deepest (oldest stamp) entry: stamps descend, so
+            # it is the last one.
+            entries.pop()
+            word &= self._word_masks[self.rs_size]
+        self._words[segment] = word
 
     # ------------------------------------------------------------------
 
@@ -151,7 +185,9 @@ class SegmentedRecencyStacks:
 
         Position 0 is the most recent element: first the
         ``unfiltered_bits`` latest raw outcomes, then each segment's
-        valid entries (shallow segment first, most recent first).
+        valid entries (shallow segment first, most recent first).  Built
+        from the ring and the entry lists, independently of the packed
+        registers.
         """
         bits: list[int] = []
         addresses: list[int] = []
@@ -164,8 +200,6 @@ class SegmentedRecencyStacks:
                 bits.append(1 if record[1] else 0)
                 addresses.append(record[0])
         for entries in self._segments:
-            # Entries are maintained most-recent-first (insertion order is
-            # crossing order), so no per-prediction sort is needed.
             for entry in entries:
                 bits.append(1 if entry.outcome else 0)
                 addresses.append(entry.hashed_pc)
@@ -176,32 +210,20 @@ class SegmentedRecencyStacks:
 
         Position p contributes ``outcome | (addr & 3) << 1`` at bit 3p.
         Returns ``(packed value, number of positions packed)``; at most
-        ``max_length`` positions are packed.
+        ``max_length`` positions are packed.  The unfiltered region always
+        counts as ``unfiltered_bits`` positions (zero before that many
+        commits).
         """
-        packed = 0
-        shift = 0
-        ring = self._ring
-        ring_len = len(ring)
-        head = self._head
-        upto = min(self.unfiltered_bits, self._count, max_length)
-        # Outcomes are bools: ``outcome | x`` is the int ``int(outcome) | x``.
-        for depth in range(1, upto + 1):
-            hashed_pc, outcome, _ = ring[(head - depth) % ring_len]
-            packed |= (outcome | (hashed_pc & 3) << 1) << shift
-            shift += 3
-        position = upto
-        if position < self.unfiltered_bits:
-            position = min(self.unfiltered_bits, max_length)
-        if position >= max_length:
-            return packed, position
-        shift = 3 * position
+        if max_length <= self.unfiltered_bits:
+            return self._window & ((1 << 3 * max_length) - 1), max_length
+        packed = self._window
+        shift = self._window_bits
         limit = 3 * max_length
-        for entries in self._segments:
-            for entry in entries:
-                packed |= (entry.outcome | (entry.hashed_pc & 3) << 1) << shift
-                shift += 3
-                if shift >= limit:
-                    return packed, max_length
+        for word, entries in zip(self._words, self._segments):
+            packed |= word << shift
+            shift += 3 * len(entries)
+            if shift >= limit:
+                return packed & ((1 << limit) - 1), max_length
         return packed, shift // 3
 
     def max_ghr_length(self) -> int:
@@ -231,14 +253,40 @@ class SegmentedRecencyStacks:
         }
 
     def restore(self, state: dict) -> None:
-        """Re-install a :meth:`snapshot`; segmentation must match."""
+        """Re-install a :meth:`snapshot`; segmentation must match.
+
+        Each segment must hold at most ``rs_size`` entries with strictly
+        descending stamps and distinct hashed PCs — the invariant the
+        tail-pop removal and eviction rely on.  The packed registers are
+        rebuilt from the ring and the entries.
+        """
         expect_keys(state, ("segments", "ring", "head", "count"), "SegmentedRS")
         expect_length(state["segments"], self.num_segments, "SegmentedRS.segments")
         expect_length(state["ring"], len(self._ring), "SegmentedRS.ring")
-        self._segments = [
+        segments = [
             [_SegmentEntry(int(pc), int(stamp), bool(out)) for pc, stamp, out in entries]
             for entries in state["segments"]
         ]
+        for k, entries in enumerate(segments):
+            context = f"SegmentedRS segment {k}"
+            if len(entries) > self.rs_size:
+                raise StateError(
+                    f"{context}: {len(entries)} entries exceed rs_size {self.rs_size}"
+                )
+            stamps = [entry.stamp for entry in entries]
+            if any(newer <= older for newer, older in zip(stamps, stamps[1:])):
+                raise StateError(f"{context}: stamps {stamps} are not strictly descending")
+            if len({entry.hashed_pc for entry in entries}) != len(entries):
+                raise StateError(f"{context}: a hashed PC appears more than once")
+        self._segments = segments
         self._ring = [(int(pc), bool(taken), bool(nb)) for pc, taken, nb in state["ring"]]
         self._head = int(state["head"])
         self._count = min(int(state["count"]), len(self._ring))
+        self._words = [
+            sum((e.outcome | (e.hashed_pc & 3) << 1) << 3 * j for j, e in enumerate(entries))
+            for entries in segments
+        ]
+        self._window = 0
+        for depth in range(min(self.unfiltered_bits, self._count), 0, -1):
+            hashed_pc, taken, _ = self._at_depth(depth)
+            self._window = (self._window << 3) | taken | (hashed_pc & 3) << 1

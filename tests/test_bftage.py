@@ -1,6 +1,10 @@
 """Tests for BF-TAGE and BF-ISL-TAGE."""
 
+import dataclasses
+
 import pytest
+
+from repro.common.state import PredictorState
 
 from repro.core.bftage import (
     BF_10_TABLE_LENGTHS,
@@ -11,6 +15,7 @@ from repro.core.bftage import (
 )
 from repro.sim import simulate
 from repro.trace.records import Trace, TraceMetadata
+from repro.workloads import build_trace
 from tests.test_neural_predictors import correlated_stream, follower_misses
 
 
@@ -117,3 +122,37 @@ class TestBFISLTage:
             providers.add(p.provider)
             p.train(0x800, i < trip - 1)
         assert "loop" in providers
+
+
+class TestCheckpointResume:
+    """Checkpoints of a real run pass ``SegmentedRecencyStacks.restore``'s
+    invariant checks, and resuming one reproduces a straight run."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return build_trace("SPEC03", 3000)
+
+    @pytest.fixture(scope="class")
+    def straight(self, trace):
+        predictor = BFTage()
+        result = simulate(predictor, trace)
+        return result.mispredictions, predictor.state_hash()
+
+    @pytest.mark.parametrize("cut", [10, 2600])
+    def test_resume_matches_straight_run(self, trace, straight, cut):
+        first = BFTage()
+        checkpoint = simulate(first, trace, stop_after=cut).checkpoint
+        segments = first.segments
+        if cut < segments.unfiltered_bits:
+            assert segments.segment_fill() == [0] * segments.num_segments
+        else:
+            # Past the deepest boundary with full recency stacks.
+            assert cut > segments.boundaries[-1]
+            assert max(segments.segment_fill()) == segments.rs_size
+        # Through the JSON document form, as a campaign store keeps it.
+        stored = PredictorState.from_json(checkpoint.predictor_state.to_json())
+        resumed = BFTage()
+        result = simulate(
+            resumed, trace, resume_from=dataclasses.replace(checkpoint, predictor_state=stored)
+        )
+        assert (result.mispredictions, resumed.state_hash()) == straight

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bitops import fold_bits, hash_combine, is_power_of_two, mask, mix64
+from repro.common.bitops import (
+    fold_bits,
+    fold_schedule,
+    hash_combine,
+    is_power_of_two,
+    mask,
+    mix64,
+)
 
 
 def linear_fold(value: int, width: int, target: int) -> int:
@@ -181,3 +188,46 @@ class TestFoldBits:
                     assert fold_bits(value, width, target) == linear_fold(
                         value, width, target
                     )
+
+
+def apply_schedule(value: int, width: int, target: int) -> int:
+    """Fold the way BF-TAGE does inline: mask once, then run the steps."""
+    value &= (1 << width) - 1
+    for half, low_mask in fold_schedule(width, target):
+        value = (value & low_mask) ^ (value >> half)
+    return value
+
+
+class TestFoldSchedule:
+    @given(
+        st.integers(min_value=0, max_value=2100),
+        st.integers(min_value=1, max_value=40),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_reference_and_fold_bits(self, width, target, data):
+        span = 1 << (width + 70)
+        value = data.draw(st.integers(min_value=-span, max_value=span - 1))
+        folded = apply_schedule(value, width, target)
+        assert folded == linear_fold(value, width, target)
+        assert folded == fold_bits(value, width, target)
+
+    @given(st.integers(min_value=1, max_value=40), st.data())
+    def test_empty_when_width_not_above_target(self, target, data):
+        width = data.draw(st.integers(min_value=0, max_value=target))
+        assert fold_schedule(width, target) == ()
+
+    def test_steps_split_on_target_multiples(self):
+        # 426 bits to 11: split at 220, 110, 55, 33, 22, 11.
+        steps = fold_schedule(426, 11)
+        assert [half for half, _ in steps] == [220, 110, 55, 33, 22, 11]
+        assert all(low_mask == (1 << half) - 1 for half, low_mask in steps)
+        assert fold_schedule(426, 11) is steps  # cached
+
+    @pytest.mark.parametrize("width, target", [(4, 0), (0, 0), (4, -3), (-1, 4), (-5, 0)])
+    def test_same_errors_as_fold_bits(self, width, target):
+        with pytest.raises(ValueError) as from_schedule:
+            fold_schedule(width, target)
+        with pytest.raises(ValueError) as from_fold:
+            fold_bits(1, width, target)
+        assert str(from_schedule.value) == str(from_fold.value)

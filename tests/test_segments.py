@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.segments import DEFAULT_BOUNDARIES, SegmentedRecencyStacks
+from repro.core.segments import DEFAULT_BOUNDARIES, SegmentedRecencyStacks, _SegmentEntry
 
 
 def make_small():
@@ -272,3 +272,188 @@ class TestCommitSkipDifferential:
         events = commit_stream(int(share * 100), 2300, 48, share)
         fast = self.run_pair(make, events, restore_at=1500, compare=self.raw_state)
         assert max(fast.segment_fill()) == fast.rs_size
+
+
+def reference_packed(seg, max_length):
+    """``packed_ghr`` recomputed from :meth:`ghr_components`, which walks
+    the ring and the entry lists and never reads the packed registers."""
+    bits, addresses = seg.ghr_components()
+    length = min(len(bits), max_length)
+    packed = 0
+    for position in range(length):
+        packed |= (bits[position] | (addresses[position] & 3) << 1) << (3 * position)
+    return packed, length
+
+
+PACK_LENGTHS = (1, 15, 16, 17, 40, 142, 10_000)
+
+
+class TestIncrementalPacking:
+    """The per-segment packed registers equal a from-scratch packing
+    after every commit, through warm-up, dedup, evictions and restore."""
+
+    @staticmethod
+    def check_stream(make, events, restore_at):
+        seg = make()
+        for position, (pc, taken, non_biased) in enumerate(events):
+            if position == restore_at:
+                state = seg.snapshot()
+                seg = make()
+                seg.restore(state)
+                for length in PACK_LENGTHS:
+                    assert seg.packed_ghr(length) == reference_packed(seg, length)
+            seg.commit(pc, taken, non_biased)
+            for length in PACK_LENGTHS:
+                assert seg.packed_ghr(length) == reference_packed(seg, length), (
+                    position,
+                    length,
+                )
+        return seg
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=24),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_small_segmentation(self, seed, distinct_pcs, share):
+        events = commit_stream(seed, 300, distinct_pcs, share)
+        self.check_stream(make_small, events, restore_at=seed % 300)
+
+    @pytest.mark.parametrize("share", [0.2, 0.9])
+    def test_default_segmentation(self, share):
+        events = commit_stream(int(share * 1000), 2300, 40, share)
+        seg = self.check_stream(SegmentedRecencyStacks, events, restore_at=1200)
+        assert max(seg.segment_fill()) == seg.rs_size
+
+    def test_warm_up_pads_unfiltered_region(self):
+        seg = SegmentedRecencyStacks()
+        assert seg.packed_ghr(142) == (0, 16)
+        seg.commit(0b11, True, non_biased=True)
+        assert seg.packed_ghr(142) == (0b111, 16)
+        assert seg.packed_ghr(1) == (0b111, 1)
+
+
+class ScanningStacks(SegmentedRecencyStacks):
+    """Reference RS maintenance without the stamp-order shortcuts: removal
+    scans every entry and eviction scans for the minimal stamp.  It keeps
+    only the entry lists, not the packed registers."""
+
+    def _remove(self, segment, hashed_pc, stamp):
+        entries = self._segments[segment]
+        for position, entry in enumerate(entries):
+            if entry.hashed_pc == hashed_pc and entry.stamp == stamp:
+                del entries[position]
+                return
+
+    def _insert(self, segment, hashed_pc, stamp, outcome):
+        entries = self._segments[segment]
+        for position, entry in enumerate(entries):
+            if entry.hashed_pc == hashed_pc:
+                del entries[position]
+                break
+        entries.insert(0, _SegmentEntry(hashed_pc, stamp, outcome))
+        if len(entries) > self.rs_size:
+            deepest = min(range(len(entries)), key=lambda i: entries[i].stamp)
+            del entries[deepest]
+
+
+class TestStampOrderShortcuts:
+    """Tail-pop removal and eviction leave the same entry lists as
+    scanning for the record anywhere in the segment."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=24),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_small_stacks(self, seed, distinct_pcs, share, rs_size):
+        fast, reference = (
+            cls(boundaries=[4, 8, 16, 32, 64], rs_size=rs_size, unfiltered_bits=4)
+            for cls in (SegmentedRecencyStacks, ScanningStacks)
+        )
+        for position, (pc, taken, non_biased) in enumerate(
+            commit_stream(seed, 400, distinct_pcs, share)
+        ):
+            fast.commit(pc, taken, non_biased)
+            reference.commit(pc, taken, non_biased)
+            assert fast._segments == reference._segments, position
+
+    def test_default_segmentation(self):
+        fast = SegmentedRecencyStacks()
+        reference = ScanningStacks()
+        for pc, taken, non_biased in commit_stream(7, 2300, 48, 0.6):
+            fast.commit(pc, taken, non_biased)
+            reference.commit(pc, taken, non_biased)
+            assert fast._segments == reference._segments
+        assert max(fast.segment_fill()) == fast.rs_size
+
+
+def run_default(events):
+    seg = SegmentedRecencyStacks()
+    for pc, taken, non_biased in events:
+        seg.commit(pc, taken, non_biased)
+    return seg
+
+
+class TestRestoreValidation:
+    """restore() rejects snapshots that break the stamp-descending,
+    bounded, deduplicated segment invariant."""
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        seg = run_default(commit_stream(11, 2200, 64, 0.7))
+        state = seg.snapshot()
+        # Segment 3 is full after a long stream.
+        assert len(state["segments"][3]) == seg.rs_size
+        return state
+
+    @staticmethod
+    def with_segment(state, k, entries):
+        bad = dict(state)
+        bad["segments"] = list(state["segments"])
+        bad["segments"][k] = entries
+        return bad
+
+    def expect_rejected(self, state, message):
+        seg = run_default(commit_stream(5, 100, 8, 0.5))
+        before = seg.snapshot()
+        with pytest.raises(ValueError, match=message):
+            seg.restore(state)
+        assert seg.snapshot() == before  # nothing half-installed
+
+    def test_too_many_entries(self, state):
+        entries = state["segments"][3]
+        extra = [entries[0][0] ^ 0x2000, entries[-1][1] - 1, True]
+        self.expect_rejected(
+            self.with_segment(state, 3, entries + [extra]), "segment 3: 9 entries exceed rs_size 8"
+        )
+
+    def test_stamps_not_descending(self, state):
+        entries = list(state["segments"][3])
+        entries[1], entries[2] = entries[2], entries[1]
+        self.expect_rejected(
+            self.with_segment(state, 3, entries), "segment 3: stamps .* not strictly descending"
+        )
+
+    def test_repeated_stamp(self, state):
+        entries = [list(entry) for entry in state["segments"][3]]
+        entries[2][1] = entries[1][1]
+        self.expect_rejected(
+            self.with_segment(state, 3, entries), "segment 3: stamps .* not strictly descending"
+        )
+
+    def test_repeated_hashed_pc(self, state):
+        entries = [list(entry) for entry in state["segments"][3]]
+        entries[4][0] = entries[0][0]
+        self.expect_rejected(
+            self.with_segment(state, 3, entries), "segment 3: a hashed PC appears more than once"
+        )
+
+    def test_real_snapshots_restore(self, state):
+        seg = SegmentedRecencyStacks()
+        seg.restore(state)
+        assert seg.snapshot() == state
+        assert seg.packed_ghr(10_000) == reference_packed(seg, 10_000)
