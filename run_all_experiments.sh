@@ -60,7 +60,7 @@ REPRO_FULL_DIFFERENTIAL=1 python3 -m pytest tests/test_batchkernel.py \
     exit 1
 }
 python3 -m repro campaign --kernel vectorized \
-    --predictors bimodal gshare perceptron bf-neural \
+    --predictors bimodal gshare perceptron bf-neural tage10 isl-tage10 \
     --jobs "$(nproc)" --telemetry results/campaign-vectorized-telemetry.jsonl \
     --output results/campaign-vectorized.txt --quiet
 python3 -m pytest benchmarks/test_bench_throughput.py -q \
@@ -92,13 +92,14 @@ cmp examples/suites/imported_fp1.csv results/wl.csv || {
     exit 1
 }
 python3 -m repro campaign "@examples/suites/demo.toml" \
-    --predictors gshare bf-neural \
+    --predictors gshare bf-neural tage10 \
     --telemetry results/campaign-suite-telemetry.jsonl \
     --output results/campaign-suite.txt --quiet
 python3 -m repro campaign "@examples/suites/demo.toml" --kernel vectorized \
-    --predictors gshare \
+    --predictors gshare tage10 \
     --output results/campaign-suite-vectorized.txt --quiet
-grep gshare results/campaign-suite.txt | cmp - <(grep gshare results/campaign-suite-vectorized.txt) || {
+grep -E "^(gshare|tage10) " results/campaign-suite.txt \
+    | cmp - <(grep -E "^(gshare|tage10) " results/campaign-suite-vectorized.txt) || {
     echo SUITE_KERNEL_MISMATCH
     exit 1
 }

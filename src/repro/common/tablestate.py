@@ -144,7 +144,12 @@ def folded_history_series(
     ``min(prior_count, length)`` of those outcomes (oldest first), which
     supply the bits that fall out of the window during the first
     ``length`` local pushes.
+
+    The series is computed in 16-bit lanes, so ``width`` must be in
+    1..16; wider registers raise ``ValueError`` rather than truncate.
     """
+    if not 1 <= width <= 16:
+        raise ValueError(f"fold width must be in 1..16, got {width}")
     n = len(outcomes)
     result = np.zeros(n, dtype=np.uint16)
     if length == 0 or n == 0:

@@ -424,13 +424,18 @@ def _register_builtins() -> None:
     from repro.predictors.gshare import GShare
     from repro.predictors.perceptron import GlobalPerceptron
     from repro.predictors.static_ import AlwaysTaken, Bimodal
+    from repro.predictors.tage import ISLTage, Tage
     from repro.sim.bfkernel import BFNeuralKernel
+    from repro.sim.tagekernel import TageKernel
 
     register_kernel(AlwaysTaken, _AlwaysTakenKernel())
     register_kernel(Bimodal, _BimodalKernel())
     register_kernel(GShare, _GShareKernel())
     register_kernel(GlobalPerceptron, _PerceptronKernel())
     register_kernel(BFNeural, BFNeuralKernel())
+    tage_kernel = TageKernel()
+    register_kernel(Tage, tage_kernel)
+    register_kernel(ISLTage, tage_kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,15 @@ from repro.common.tablestate import (
 from repro.core.bst import BranchStatus
 from repro.core.recency_stack import RSEntry
 from repro.predictors.base import hot_path
+from repro.sim.loopstage import (
+    loop_columns,
+    loop_lookup,
+    loop_rows,
+    loop_update,
+    store_loop_columns,
+)
 
 _PROVIDERS = ("default", "bst", "neural", "loop")
-_LOOP_SKEW = 0x517C_C1B7
 
 
 # perf: allow(REPRO402): dtype lookups amortize over the whole column fold
@@ -76,7 +82,13 @@ class BFNeuralKernel:
 
     def supports(self, predictor) -> bool:
         cfg = predictor.config
-        return not cfg.probabilistic_bst and 1 <= cfg.ht <= 16
+        # The fold ladder is staged in 16-bit lanes
+        # (``folded_history_series``); wider folds stay scalar.
+        return (
+            not cfg.probabilistic_bst
+            and 1 <= cfg.ht <= 16
+            and predictor._folds.width <= 16
+        )
 
     @hot_path  # perf: allow(REPRO401, REPRO402): staging runs per record batch
     def run(self, predictor, pcs, outcomes, start: int, end: int):
@@ -365,25 +377,9 @@ class BFNeuralKernel:
         loop = predictor.loop
         has_loop = loop is not None
         if has_loop:
-            ways = loop.ways
-            nsets = loop.sets
-            tag_mask = (1 << loop.tag_bits) - 1
-            trip_max = loop.TRIP_MAX
-            ltag = [[e.tag for e in ws] for ws in loop._table]
-            lpast = [[e.past_trip for e in ws] for ws in loop._table]
-            lcur = [[e.current_trip for e in ws] for ws in loop._table]
-            lconf = [[e.confidence for e in ws] for ws in loop._table]
-            lage = [[e.age for e in ws] for ws in loop._table]
-            lvalid = [[e.valid for e in ws] for ws in loop._table]
+            loop_cols = loop_columns(loop)
             if nc:
-                way_ix = np.arange(1, ways + 1, dtype=np.uint64)
-                hashed = mix64_array(
-                    pc_c[:, None] + np.uint64(_LOOP_SKEW) * way_ix[None, :]
-                )
-                lsets = (hashed % np.uint64(nsets)).astype(np.int64).tolist()
-                ltags = (
-                    (hashed >> np.uint64(20)) & np.uint64(tag_mask)
-                ).astype(np.int64).tolist()
+                lsets, ltags = loop_rows(loop, pc_c)
 
         # ------------------------------------------------------------------
         # Sequential replay of the weight-touching events.
@@ -425,18 +421,9 @@ class BFNeuralKernel:
                     code = 2
                     loop_valid = False
                     if has_loop:
-                        found = -1
-                        for wy in range(ways):
-                            si = st[wy]
-                            if lvalid[si][wy] and ltag[si][wy] == tg[wy]:
-                                found = wy
-                                fsi = si
-                                break
-                        if found >= 0 and lconf[fsi][found] >= 3:
-                            loop_pred = lcur[fsi][found] != lpast[fsi][found]
-                            loop_valid = True
-                        else:
-                            loop_pred = True
+                        found, fsi, loop_pred, loop_valid = loop_lookup(
+                            loop_cols, st, tg
+                        )
                         last_loop_pred = loop_pred
                         if loop_valid and withloop >= 0:
                             pred = loop_pred
@@ -451,42 +438,7 @@ class BFNeuralKernel:
                                     withloop += 1
                             elif withloop > -64:
                                 withloop -= 1
-                        if found >= 0:
-                            if taken:
-                                lcur[fsi][found] += 1
-                                if lcur[fsi][found] > trip_max:
-                                    lvalid[fsi][found] = False
-                            else:
-                                if lcur[fsi][found] == lpast[fsi][found]:
-                                    if lconf[fsi][found] < 3:
-                                        lconf[fsi][found] += 1
-                                    if lage[fsi][found] < 7:
-                                        lage[fsi][found] += 1
-                                else:
-                                    lpast[fsi][found] = lcur[fsi][found]
-                                    lconf[fsi][found] = 0
-                                lcur[fsi][found] = 0
-                        elif not taken and mispredicted:
-                            victim = -1
-                            for wy in range(ways):
-                                if not lvalid[st[wy]][wy]:
-                                    victim = wy
-                                    break
-                            if victim < 0:
-                                for wy in range(ways):
-                                    vsi = st[wy]
-                                    if lage[vsi][wy] == 0:
-                                        victim = wy
-                                        break
-                                    lage[vsi][wy] -= 1
-                            if victim >= 0:
-                                vsi = st[victim]
-                                ltag[vsi][victim] = tg[victim]
-                                lpast[vsi][victim] = 0
-                                lcur[vsi][victim] = 0
-                                lconf[vsi][victim] = 0
-                                lage[vsi][victim] = 7
-                                lvalid[vsi][victim] = True
+                        loop_update(loop_cols, st, tg, found, fsi, taken, mispredicted)
                     neural_wrong = neural_pred != taken
                     if neural_wrong or (acc if acc >= 0 else -acc) <= theta:
                         update = True
@@ -548,14 +500,7 @@ class BFNeuralKernel:
             predictor._wm = arena[wm_off:wrs_off].reshape(cfg.wm_rows, ht).tolist()
             predictor._wrs = arena[wrs_off:dummy].tolist()
         if has_loop:
-            for si, ws in enumerate(loop._table):
-                for wy, entry in enumerate(ws):
-                    entry.tag = ltag[si][wy]
-                    entry.past_trip = lpast[si][wy]
-                    entry.current_trip = lcur[si][wy]
-                    entry.confidence = lconf[si][wy]
-                    entry.age = lage[si][wy]
-                    entry.valid = lvalid[si][wy]
+            store_loop_columns(loop, loop_cols)
         predictor._withloop = withloop
         predictor.theta = theta
         predictor._tc = tc

@@ -37,13 +37,31 @@ from repro.common.tablestate import (
     table_array,
     table_list,
 )
-from repro.core import BFNeural
-from repro.predictors import Bimodal, GShare, Tage, TageConfig
+from repro.core import BFISLTage, BFNeural, BFNeuralConfig, BFTage
+from repro.predictors import Bimodal, GShare, ISLTage, Tage, TageConfig
 from repro.predictors.perceptron import GlobalPerceptron
 from repro.sim import simulate
 from repro.sim.batchkernel import KERNEL_MODES, kernel_for, simulate_batch
 from repro.trace.records import Trace, TraceMetadata
 from repro.workloads import SUITE_NAMES, WILD_NAMES, build_trace
+
+
+def _small_tage_config() -> TageConfig:
+    """Four small tagged tables (collisions and allocations are common)
+    and a 512-branch useful-aging period, so aging happens mid-segment
+    and on checkpoint cuts."""
+    return TageConfig(
+        num_tables=4,
+        base_log2_entries=10,
+        log2_entries=[8, 8, 9, 9],
+        tag_bits=[7, 8, 9, 10],
+        useful_reset_period=512,
+    )
+
+
+def _small_isl(**kwargs) -> ISLTage:
+    return ISLTage(_small_tage_config(), sc_entries=256, **kwargs)
+
 
 #: Every predictor with a registered kernel, at test-sized geometries.
 PORTED = {
@@ -51,6 +69,8 @@ PORTED = {
     "gshare": GShare,
     "perceptron": lambda: GlobalPerceptron(256, 24),
     "bf-neural": BFNeural,
+    "tage": lambda: Tage(_small_tage_config()),
+    "isl-tage": _small_isl,
 }
 
 QUICK_TRACES = ("SPEC03", "SPEC17", "WILD2")
@@ -136,6 +156,131 @@ def test_resume_from_scalar_checkpoint():
     assert back.mispredictions == straight.mispredictions
 
 
+@pytest.mark.parametrize(
+    "factory",
+    [
+        _small_isl,
+        lambda: _small_isl(with_loop_predictor=False),
+        lambda: _small_isl(with_statistical_corrector=False),
+        lambda: _small_isl(with_loop_predictor=False, with_statistical_corrector=False),
+    ],
+    ids=["loop+sc", "sc-only", "loop-only", "core-only"],
+)
+def test_isl_provider_attribution_matches_scalar(factory):
+    # WILD1 exercises both overlays: the loop predictor and the SC each
+    # provide some predictions when enabled.
+    trace = build_trace("WILD1", QUICK_BRANCHES)
+    scalar, vec = _assert_identical(factory, trace, track_providers=True)
+    assert vec.provider_hits == scalar.provider_hits
+    assert sum(vec.provider_hits.values()) == len(trace)
+    predictor = factory()
+    assert ("loop" in scalar.provider_hits) == (predictor.loop is not None)
+    assert ("sc" in scalar.provider_hits) == predictor.with_statistical_corrector
+
+
+def test_tage_provider_attribution_matches_scalar():
+    trace = build_trace("SPEC11", QUICK_BRANCHES)
+    scalar, vec = _assert_identical(PORTED["tage"], trace, track_providers=True)
+    assert vec.provider_hits == scalar.provider_hits
+    assert {"base", "T1", "T4"} <= set(vec.provider_hits)
+
+
+@pytest.mark.parametrize("name", ["tage", "isl-tage"])
+@pytest.mark.parametrize("every", [512, 700])
+def test_tage_checkpoint_stream_matches_scalar(name, every):
+    # Cuts every 512 branches land exactly on useful-aging events; cuts
+    # every 700 leave aging mid-segment.
+    trace = build_trace("SPEC08", QUICK_BRANCHES)
+    cuts = {}
+    for label, run in (("scalar", simulate), ("vec", simulate_batch)):
+        collected = []
+        run(
+            PORTED[name](),
+            trace,
+            track_providers=True,
+            checkpoint_every=every,
+            on_checkpoint=collected.append,
+        )
+        cuts[label] = [
+            (c.position, c.mispredictions, c.provider_hits, c.state_hash())
+            for c in collected
+        ]
+    assert cuts["vec"] == cuts["scalar"]
+    assert len(cuts["vec"]) >= 5
+
+
+@pytest.mark.parametrize("name", ["tage", "isl-tage"])
+def test_tage_resume_across_kernels(name):
+    # A scalar cut resumes through the kernel and a kernel cut resumes
+    # through the scalar loop, both bit-identical to a straight run.
+    factory = PORTED[name]
+    trace = build_trace("WILD1", QUICK_BRANCHES)
+    straight_p = factory()
+    straight = simulate(straight_p, trace)
+    scalar_head = simulate(factory(), trace, stop_after=1_537)
+    vec_head = simulate_batch(factory(), trace, stop_after=1_537)
+    assert vec_head.checkpoint.state_hash() == scalar_head.checkpoint.state_hash()
+    for head, tail_run in ((scalar_head, simulate_batch), (vec_head, simulate)):
+        resumed_p = factory()
+        resumed = tail_run(resumed_p, trace, resume_from=head.checkpoint)
+        assert resumed.mispredictions == straight.mispredictions
+        assert resumed_p.state_hash() == straight_p.state_hash()
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: ISLTage(core=BFTage()),
+        BFTage,
+        BFISLTage,
+        lambda: Tage(
+            TageConfig(
+                num_tables=2,
+                history_lengths=[5, 20],
+                log2_entries=[10, 10],
+                tag_bits=[9, 17],
+            )
+        ),
+        lambda: Tage(
+            TageConfig(
+                num_tables=2,
+                history_lengths=[5, 20],
+                log2_entries=[17, 10],
+                tag_bits=[9, 9],
+            )
+        ),
+    ],
+    ids=["isl-over-bftage", "bftage", "bf-isl-tage", "tag-17", "index-17"],
+)
+def test_tage_kernel_gates(factory):
+    predictor = factory()
+    assert kernel_for(predictor) is None
+    trace = build_trace("SPEC00", 600)
+    scalar_p, auto_p = factory(), factory()
+    scalar = simulate(scalar_p, trace)
+    auto = simulate_batch(auto_p, trace, kernel="auto")
+    assert auto.mispredictions == scalar.mispredictions
+    assert auto_p.state_hash() == scalar_p.state_hash()
+
+
+def test_bfneural_wide_fold_falls_back_to_scalar():
+    # wm_rows = 2**18 folds history to 18 bits; the kernel's 16-bit
+    # fold lanes would truncate it, so auto must take the scalar loop.
+    factory = lambda: BFNeural(BFNeuralConfig(wm_rows=1 << 18))  # noqa: E731
+    assert factory()._folds.width == 18
+    assert kernel_for(factory()) is None
+    trace = build_trace("SPEC02", 1_500)
+    scalar_p, auto_p = factory(), factory()
+    scalar = simulate(scalar_p, trace)
+    auto = simulate_batch(auto_p, trace, kernel="auto")
+    assert auto.mispredictions == scalar.mispredictions
+    assert auto_p.state_hash() == scalar_p.state_hash()
+
+
+class _Unported(Tage):
+    """A Tage subclass: kernels match the exact class, so it has none."""
+
+
 class TestDispatch:
     def test_kernel_modes_constant(self):
         assert KERNEL_MODES == ("scalar", "vectorized", "auto")
@@ -145,18 +290,18 @@ class TestDispatch:
             assert kernel_for(factory()) is not None
 
     def test_registry_rejects_unported_predictor(self):
-        assert kernel_for(Tage(TageConfig.for_tables(4))) is None
+        assert kernel_for(_Unported(TageConfig.for_tables(4))) is None
 
     def test_vectorized_mode_raises_for_unported(self):
         trace = build_trace("SPEC00", 200)
         with pytest.raises(ValueError, match="no vectorized kernel"):
             simulate_batch(
-                Tage(TageConfig.for_tables(4)), trace, kernel="vectorized"
+                _Unported(TageConfig.for_tables(4)), trace, kernel="vectorized"
             )
 
     def test_auto_mode_falls_back_to_scalar(self):
         trace = build_trace("SPEC00", 1_000)
-        factory = lambda: Tage(TageConfig.for_tables(4))  # noqa: E731
+        factory = lambda: _Unported(TageConfig.for_tables(4))  # noqa: E731
         scalar_p, auto_p = factory(), factory()
         scalar = simulate(scalar_p, trace)
         auto = simulate_batch(auto_p, trace, kernel="auto")
@@ -228,6 +373,12 @@ class TestArrayStateSubstrate:
             expected.append(fold.value)
         series = folded_history_series(bits, length, width)
         assert [int(v) for v in series] == expected
+
+    @pytest.mark.parametrize("width", [0, 17, 18])
+    def test_folded_history_rejects_widths_outside_16_bit_lanes(self, width):
+        bits = np.ones(40, dtype=np.uint8)
+        with pytest.raises(ValueError, match="fold width"):
+            folded_history_series(bits, 100, width)
 
     def test_folded_history_resume_matches_straight_run(self):
         rng = np.random.default_rng(19)
