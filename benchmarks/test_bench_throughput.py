@@ -46,10 +46,11 @@ CONTENDERS = {
 #: one contracts over the scalar loop on a warm plan cache.  Bimodal
 #: and gshare are pure gather/scatter (the ISSUE's >=10x targets);
 #: perceptron and BF-Neural keep a sequential python segment (the
-#: weight-update chain), so their floors are conservative.  TAGE and
-#: ISL-TAGE replay their tables in one python loop after numpy staging;
-#: on this trace they measured 6.2x and 4.5x (2-vCPU Xeon, Python
-#: 3.11), and their floors keep about half of that.
+#: weight-update chain), so their floors are conservative.  TAGE,
+#: ISL-TAGE and BF-TAGE replay their tables in one python loop after
+#: numpy staging (BF-TAGE's also walks its recency stacks once per
+#: segment width); on this trace they measured 6.2x, 4.5x and 6.7x
+#: (2-vCPU Xeon, Python 3.11), and their floors keep about half of that.
 VEC_CONTENDERS = {
     "bimodal": (Bimodal, 10.0),
     "gshare": (GShare, 10.0),
@@ -57,6 +58,7 @@ VEC_CONTENDERS = {
     "bf-neural": (BFNeural, 3.0),
     "tage10": (lambda: Tage(TageConfig.for_tables(10)), 3.0),
     "isl-tage10": (lambda: ISLTage(TageConfig.for_tables(10)), 2.0),
+    "bf-tage10": (lambda: BFTage(BFTageConfig.for_tables(10)), 3.0),
 }
 
 #: Fractional events/s drop vs the previous commit that trips the gate.

@@ -60,7 +60,7 @@ REPRO_FULL_DIFFERENTIAL=1 python3 -m pytest tests/test_batchkernel.py \
     exit 1
 }
 python3 -m repro campaign --kernel vectorized \
-    --predictors bimodal gshare perceptron bf-neural tage10 isl-tage10 \
+    --predictors bimodal gshare perceptron bf-neural tage10 isl-tage10 bf-tage10 \
     --jobs "$(nproc)" --telemetry results/campaign-vectorized-telemetry.jsonl \
     --output results/campaign-vectorized.txt --quiet
 python3 -m pytest benchmarks/test_bench_throughput.py -q \

@@ -18,6 +18,13 @@ widths) by the log-step XOR fold of
 :func:`repro.common.bitops.fold_schedule`.  The per-table schedules are
 fixed at construction and applied inline.
 
+That per-event loop is the oracle.  With the deterministic BST and no
+bias oracle, ``simulate_batch(kernel="auto")`` runs BF-TAGE and
+BF-ISL-TAGE through the TAGE batch kernel (``repro.sim.tagekernel``)
+instead: the BF-GHR depends on the trace alone, so the kernel stages
+every event's BF-GHR and folds up front and replays only the tables,
+bit-identical to this loop.
+
 ``BFISLTage`` adds the loop predictor and statistical corrector overlay,
 mirroring BF-ISL-TAGE in Figure 10.
 """

@@ -282,9 +282,13 @@ class SegmentedRecencyStacks:
         self._ring = [(int(pc), bool(taken), bool(nb)) for pc, taken, nb in state["ring"]]
         self._head = int(state["head"])
         self._count = min(int(state["count"]), len(self._ring))
+        self._repack()
+
+    def _repack(self) -> None:
+        """Rebuild both packed registers from the ring and the entries."""
         self._words = [
             sum((e.outcome | (e.hashed_pc & 3) << 1) << 3 * j for j, e in enumerate(entries))
-            for entries in segments
+            for entries in self._segments
         ]
         self._window = 0
         for depth in range(min(self.unfiltered_bits, self._count), 0, -1):

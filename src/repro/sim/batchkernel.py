@@ -421,6 +421,7 @@ def has_vectorized_kernel(predictor: BranchPredictor) -> bool:
 
 def _register_builtins() -> None:
     from repro.core.bfneural import BFNeural
+    from repro.core.bftage import BFISLTage, BFTage
     from repro.predictors.gshare import GShare
     from repro.predictors.perceptron import GlobalPerceptron
     from repro.predictors.static_ import AlwaysTaken, Bimodal
@@ -436,6 +437,8 @@ def _register_builtins() -> None:
     tage_kernel = TageKernel()
     register_kernel(Tage, tage_kernel)
     register_kernel(ISLTage, tage_kernel)
+    register_kernel(BFTage, tage_kernel)
+    register_kernel(BFISLTage, tage_kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from repro.common.tablestate import (
 from repro.core.bst import BranchStatus
 from repro.core.recency_stack import RSEntry
 from repro.predictors.base import hot_path
+from repro.sim.bststage import stage_bst
 from repro.sim.loopstage import (
     loop_columns,
     loop_lookup,
@@ -100,71 +101,11 @@ class BFNeuralKernel:
         outs = outcomes[start:end]
 
         # ------------------------------------------------------------------
-        # BST status streams: group events by table entry and resolve the
-        # absorbing FSM per group.  ``dir`` is the recorded bias direction
-        # (the first outcome for entries starting NOT_FOUND); an entry is
-        # non-biased from its first disagreeing outcome onwards.
+        # BST status streams (``repro.sim.bststage``): the deterministic
+        # FSM is an absorbing chain, resolved per table entry up front.
         # ------------------------------------------------------------------
-        bst = predictor.bst
-        bst_mask = np.uint64(bst.entries - 1)
-        bidx = (pc_seg & bst_mask).astype(
-            np.uint16 if bst.entries <= (1 << 16) else np.uint32
-        )
-        order = np.argsort(bidx, kind="stable")
-        sidx = bidx[order]
-        souts = outs[order]
-        seg_start = np.empty(n, dtype=bool)
-        seg_start[0] = True
-        np.not_equal(sidx[1:], sidx[:-1], out=seg_start[1:])
-        positions = np.arange(n, dtype=np.int64)
-        starts = np.where(seg_start, positions, 0)
-        np.maximum.accumulate(starts, out=starts)
-        pos = positions - starts
-
-        s0 = np.fromiter((int(s) for s in bst._state), np.uint8, count=bst.entries)
-        init = s0[sidx]
-        first_out = souts[starts]
-        dir_ = np.where(init == 1, 1, np.where(init == 2, 0, first_out)).astype(
-            np.uint8
-        )
-        disagree = souts != dir_
-        disagree &= ~((init == 0) & (pos == 0))  # first sighting only records
-        group = np.cumsum(seg_start, dtype=np.int64)
-        running = np.maximum.accumulate(group * 2 + disagree)
-        nb_after_s = (running - group * 2) == 1
-        nb_after_s |= init == 3
-        nb_before_s = np.empty(n, dtype=bool)
-        nb_before_s[0] = False
-        nb_before_s[1:] = nb_after_s[:-1]
-        nb_before_s[seg_start] = (init == 3)[seg_start]
-        transition_s = nb_after_s & ~nb_before_s
-
-        status_before_s = np.where(dir_ == 1, 1, 2).astype(np.uint8)
-        status_before_s[nb_before_s] = 3
-        status_before_s[(init == 0) & (pos == 0)] = 0
-
-        status_before = np.empty(n, dtype=np.uint8)
-        status_before[order] = status_before_s
-        nb_before = np.empty(n, dtype=bool)
-        nb_before[order] = nb_before_s
-        nb_after = np.empty(n, dtype=bool)
-        nb_after[order] = nb_after_s
-        transition = np.empty(n, dtype=bool)
-        transition[order] = transition_s
-
-        seg_end = np.empty(n, dtype=bool)
-        seg_end[-1] = True
-        np.copyto(seg_end[:-1], seg_start[1:])
-        final_bst_idx = sidx[seg_end]
-        final_bst_status = np.where(
-            nb_after_s[seg_end],
-            3,
-            np.where(
-                init[seg_end] == 0,
-                np.where(first_out[seg_end] == 1, 1, 2),
-                init[seg_end],
-            ),
-        )
+        status_before, nb_before, nb_after = stage_bst(predictor.bst, pc_seg, outs)
+        transition = nb_after & ~nb_before
 
         # Vectorized predictions for every event the weights never see.
         preds = status_before == 1
@@ -485,10 +426,6 @@ class BFNeuralKernel:
         # ------------------------------------------------------------------
         # Write the final state back through the scalar representations.
         # ------------------------------------------------------------------
-        state_list = bst._state
-        for fi, fv in zip(final_bst_idx.tolist(), final_bst_status.tolist()):
-            state_list[fi] = BranchStatus(fv)
-
         rs._entries = [
             RSEntry(address=lpcs[j], stamp=int(log_stamp[j]), outcome=bool(log_sign[j] > 0))
             for j in stack

@@ -1,20 +1,30 @@
-"""Staged batch kernel for conventional TAGE and ISL-TAGE.
+"""Staged batch kernel for the TAGE family: TAGE, ISL-TAGE, BF-TAGE and
+BF-ISL-TAGE.
 
 TAGE's cost in the scalar loop is its history machinery: every branch
-updates three folded registers per tagged table and recomputes every
-table's index and tag from them.  None of that depends on predictor
-state.  The global history, the path register and Seznec's folded
-registers are functions of the trace's outcomes and pcs alone, and the
-fold recurrence is linear over GF(2), so
-``tablestate.folded_history_series`` gives every per-event register
-value in closed form.  The kernel therefore runs in two phases:
+updates the history registers and recomputes every table's index and
+tag from them.  None of that depends on predictor state, so the kernel
+runs in two phases:
 
 * **Staging (numpy).**  Per segment, every event's per-table index and
   tag, the base-table index, and for ISL-TAGE the statistical
   corrector's index base and the loop predictor's per-way set/tag rows.
-  The folds are seeded from the live fold registers, with the bits about
-  to leave each window read from the history ring; the path register is
-  ``packed_history_series(pc & 1)``.
+  The path register is ``packed_history_series(pc & 1)``.  Only the
+  history behind the folds depends on the core, and one staging step
+  per core class (:data:`_STAGERS`) stages it and leaves the core's
+  history state at the segment's end:
+
+  - ``Tage`` folds the raw global history.  Seznec's folded registers
+    are linear over GF(2), so ``tablestate.folded_history_series``
+    gives every per-event value in closed form, seeded from the live
+    fold registers with the bits about to leave each window read from
+    the history ring.
+  - ``BFTage`` folds the bias-free history (Section V).  The BST status
+    stream comes from ``repro.sim.bststage`` and the per-event packed
+    BF-GHR from ``repro.sim.ghrstage``, which walks the segmented
+    recency stacks once per segment width; the 30 folds XOR uint64
+    lanes of it.  BF-TAGE never advances ``Tage``'s raw ring and fold
+    registers, so they are left alone.
 * **Replay (one python loop).**  Only the data-dependent part remains:
   the tag-match scan, provider/alternate selection, the
   ``use_alt_on_na`` policy, counter and useful updates, allocation
@@ -23,8 +33,8 @@ value in closed form.  The kernel therefore runs in two phases:
   loop-predictor overlay behind hoisted flags.
 
 The final state goes back through the scalar representations: tables,
-folds, ring, head, path, counters and the per-prediction scratch the
-next ``train`` would read, so ``state_hash()``, provider attribution and
+history, path, counters and the per-prediction scratch the next
+``train`` would read, so ``state_hash()``, provider attribution and
 checkpoint cuts match the scalar oracle bit for bit.
 """
 
@@ -33,10 +43,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.tablestate import folded_history_series, packed_history_series
+from repro.core.bftage import BFTage
 from repro.predictors.base import hot_path
 from repro.predictors.tage.components import TaggedTable
 from repro.predictors.tage.isl import _SC_MAX, _SC_MIN, ISLTage
 from repro.predictors.tage.tage import Tage
+from repro.sim.bststage import stage_bst
+from repro.sim.ghrstage import chunk_fold, stage_bf_ghr
 from repro.sim.loopstage import (
     loop_columns,
     loop_lookup,
@@ -69,54 +82,91 @@ def _fold_before(outs, length, fold, tail) -> tuple[np.ndarray, int]:
     return before, int(series[-1])
 
 
+def _index_tag_columns(table, pc_seg, path, f_index, f_tag1, f_tag2):
+    """``TaggedTable.index_of`` and ``tag_of`` over whole columns."""
+    shift = np.uint64(table.log2_entries - 2)
+    idx = (pc_seg ^ (pc_seg >> shift) ^ f_index ^ path) & np.uint64(table.entries - 1)
+    tags = (pc_seg ^ f_tag1 ^ (f_tag2 << np.uint64(1))) & np.uint64(table.tag_mask)
+    return idx, tags
+
+
+@hot_path  # perf: allow(REPRO401, REPRO402): staging runs per segment
+def _stage_tage(tage, pc_seg, outs, path, idx, tags) -> None:
+    """Fill every event's per-table index and tag from the raw global
+    history; leave the fold registers and the history ring as the
+    segment's commits would."""
+    n = len(outs)
+    cap = tage._history_capacity
+    head = tage._history_head % cap
+    ring = np.asarray(tage._history_buffer, dtype=np.uint16)
+    for j, (table, folds) in enumerate(zip(tage.tables, tage._folds)):
+        length = folds.history_length
+        tail = ring[(head - length + np.arange(length)) % cap]
+        f_index, v_index = _fold_before(outs, length, folds.index_fold, tail)
+        f_tag1, v_tag1 = _fold_before(outs, length, folds.tag_fold_1, tail)
+        f_tag2, v_tag2 = _fold_before(outs, length, folds.tag_fold_2, tail)
+        idx[:, j], tags[:, j] = _index_tag_columns(
+            table, pc_seg, path, f_index, f_tag1, f_tag2
+        )
+        folds.index_fold.value = v_index
+        folds.tag_fold_1.value = v_tag1
+        folds.tag_fold_2.value = v_tag2
+    head0 = tage._history_head
+    lo = max(0, n - cap)
+    slots = ((head0 + np.arange(lo, n, dtype=np.int64)) % cap).tolist()
+    buffer = tage._history_buffer
+    for slot, bit in zip(slots, outs[lo:].tolist()):
+        buffer[slot] = bit
+    tage._history_head = (head0 + n) % cap
+
+
+@hot_path
+def _stage_bftage(core, pc_seg, outs, path, idx, tags) -> None:
+    """Fill every event's per-table index and tag from the BF-GHR; leave
+    the BST and the segmented recency stacks as the segment's commits
+    would.  ``Tage``'s own raw history is never advanced by BF-TAGE and
+    stays untouched."""
+    nb_after = stage_bst(core.bst, pc_seg, outs).nb_after
+    rows = stage_bf_ghr(core.segments, pc_seg, outs, nb_after, core._max_length)
+    for j, (table, length) in enumerate(zip(core.tables, core.config.history_lengths)):
+        prefix = 3 * length
+        idx[:, j], tags[:, j] = _index_tag_columns(
+            table,
+            pc_seg,
+            path,
+            chunk_fold(rows, prefix, table.log2_entries),
+            chunk_fold(rows, prefix, table.tag_bits),
+            chunk_fold(rows, prefix, max(1, table.tag_bits - 1)),
+        )
+
+
+#: The core-specific step: stage the index and tag streams and advance
+#: the core's history state over the segment.
+_STAGERS = {Tage: _stage_tage, BFTage: _stage_bftage}
+
+
 class TageKernel:
     """Staged index/tag streams plus one sequential table replay."""
 
     def supports(self, predictor) -> bool:
         core = predictor.tage if isinstance(predictor, ISLTage) else predictor
-        if type(core) is not Tage:
+        if type(core) is BFTage:
+            # The BST stream assumes the deterministic FSM; the BF-GHR
+            # rows hold the window and each segment word in 64 bits.
+            segments = core.segments
+            if (
+                core.bias_oracle is not None
+                or core.bst.probabilistic
+                or 3 * segments.unfiltered_bits > 64
+                or 3 * segments.rs_size > 64
+            ):
+                return False
+        elif type(core) is not Tage:
             return False
         return 1 <= core.config.path_bits <= 64 and all(
             2 <= table.log2_entries <= 16 and table.tag_bits <= 16
             for table in core.tables
         )
-
-    # perf: allow(REPRO401, REPRO402): staging and write-back run per segment
-    def _stage(self, tage, pc_seg, outs):
-        """Every event's per-table index and tag, plus the fold registers'
-        and the path register's values after the segment."""
-        n = len(outs)
-        cfg = tage.config
-        tables = tage.tables
-        cap = tage._history_capacity
-        head = tage._history_head % cap
-        ring = np.asarray(tage._history_buffer, dtype=np.uint16)
-        path = packed_history_series(
-            (pc_seg & np.uint64(1)).astype(np.uint8),
-            cfg.path_bits,
-            seed=tage._path_history,
-        )
-        idx = np.empty((n, len(tables)), dtype=np.int64)
-        tags = np.empty((n, len(tables)), dtype=np.int64)
-        finals = []
-        for j, (table, folds) in enumerate(zip(tables, tage._folds)):
-            length = folds.history_length
-            tail = ring[(head - length + np.arange(length)) % cap]
-            f_index, v_index = _fold_before(outs, length, folds.index_fold, tail)
-            f_tag1, v_tag1 = _fold_before(outs, length, folds.tag_fold_1, tail)
-            f_tag2, v_tag2 = _fold_before(outs, length, folds.tag_fold_2, tail)
-            finals.append((v_index, v_tag1, v_tag2))
-            shift = np.uint64(table.log2_entries - 2)
-            idx[:, j] = (pc_seg ^ (pc_seg >> shift) ^ f_index ^ path) & np.uint64(
-                table.entries - 1
-            )
-            tags[:, j] = (pc_seg ^ f_tag1 ^ (f_tag2 << np.uint64(1))) & np.uint64(
-                table.tag_mask
-            )
-        last_path = (
-            (int(path[-1]) << 1) | (int(pc_seg[-1]) & 1)
-        ) & tage._path_mask
-        return idx, tags, finals, last_path
 
     @hot_path  # perf: allow(REPRO401, REPRO402): staging and write-back run per segment
     def run(self, predictor, pcs, outcomes, start: int, end: int):
@@ -136,7 +186,17 @@ class TageKernel:
         # --------------------------------------------------------------
         # Staging.
         # --------------------------------------------------------------
-        idx, tags, fold_finals, last_path = self._stage(tage, pc_seg, outs)
+        path = packed_history_series(
+            (pc_seg & np.uint64(1)).astype(np.uint8),
+            tage.config.path_bits,
+            seed=tage._path_history,
+        )
+        idx = np.empty((n, num_tables), dtype=np.int64)
+        tags = np.empty((n, num_tables), dtype=np.int64)
+        _STAGERS[type(tage)](tage, pc_seg, outs, path, idx, tags)
+        tage._path_history = (
+            (int(path[-1]) << 1) | (int(pc_seg[-1]) & 1)
+        ) & tage._path_mask
         offsets = np.cumsum([0] + [table.entries for table in tables])
         flat_rows = (idx + offsets[None, :-1]).tolist()
         tag_rows = tags.tolist()
@@ -350,19 +410,6 @@ class TageKernel:
             table.ctr = ctr[lo:hi]
             table.tag = tagv[lo:hi]
             table.useful = use[lo:hi]
-        for folds, (v_index, v_tag1, v_tag2) in zip(tage._folds, fold_finals):
-            folds.index_fold.value = v_index
-            folds.tag_fold_1.value = v_tag1
-            folds.tag_fold_2.value = v_tag2
-        cap = tage._history_capacity
-        head0 = tage._history_head
-        lo = max(0, n - cap)
-        slots = ((head0 + np.arange(lo, n, dtype=np.int64)) % cap).tolist()
-        ring = tage._history_buffer
-        for slot, bit in zip(slots, outs[lo:].tolist()):
-            ring[slot] = bit
-        tage._history_head = (head0 + n) % cap
-        tage._path_history = last_path
         tage._rng.restore(draw)
         tage._use_alt_on_na = uaon
         tage._branch_count += n

@@ -37,7 +37,7 @@ from repro.common.tablestate import (
     table_array,
     table_list,
 )
-from repro.core import BFISLTage, BFNeural, BFNeuralConfig, BFTage
+from repro.core import BFISLTage, BFNeural, BFNeuralConfig, BFTage, BFTageConfig
 from repro.predictors import Bimodal, GShare, ISLTage, Tage, TageConfig
 from repro.predictors.perceptron import GlobalPerceptron
 from repro.sim import simulate
@@ -63,6 +63,26 @@ def _small_isl(**kwargs) -> ISLTage:
     return ISLTage(_small_tage_config(), sc_entries=256, **kwargs)
 
 
+def _small_bf_config(**kwargs) -> BFTageConfig:
+    """The small TAGE tables over a small BF-GHR: segment dedup, eviction
+    and deep-boundary removal all fire within a few hundred events, the
+    widths (4, 4, 4, 8, 8) share walks, and the longest history (17)
+    truncates the 19-position BF-GHR."""
+    return BFTageConfig(
+        num_tables=4,
+        base_log2_entries=10,
+        history_lengths=[2, 6, 11, 17],
+        log2_entries=[8, 8, 9, 9],
+        tag_bits=[7, 8, 9, 10],
+        bst_entries=256,
+        boundaries=[4, 8, 12, 16, 24, 32],
+        rs_size=3,
+        unfiltered_bits=4,
+        useful_reset_period=512,
+        **kwargs,
+    )
+
+
 #: Every predictor with a registered kernel, at test-sized geometries.
 PORTED = {
     "bimodal": Bimodal,
@@ -71,6 +91,8 @@ PORTED = {
     "bf-neural": BFNeural,
     "tage": lambda: Tage(_small_tage_config()),
     "isl-tage": _small_isl,
+    "bf-tage": lambda: BFTage(_small_bf_config()),
+    "bf-isl-tage": lambda: BFISLTage(_small_bf_config()),
 }
 
 QUICK_TRACES = ("SPEC03", "SPEC17", "WILD2")
@@ -185,11 +207,13 @@ def test_tage_provider_attribution_matches_scalar():
     assert {"base", "T1", "T4"} <= set(vec.provider_hits)
 
 
-@pytest.mark.parametrize("name", ["tage", "isl-tage"])
-@pytest.mark.parametrize("every", [512, 700])
+@pytest.mark.parametrize("name", ["tage", "isl-tage", "bf-tage", "bf-isl-tage"])
+@pytest.mark.parametrize("every", [23, 512, 700])
 def test_tage_checkpoint_stream_matches_scalar(name, every):
     # Cuts every 512 branches land exactly on useful-aging events; cuts
-    # every 700 leave aging mid-segment.
+    # every 700 leave aging mid-segment.  Cuts every 23 leave BF-GHR
+    # records in the commit ring that cross the deepest boundary (32)
+    # only in a later segment.
     trace = build_trace("SPEC08", QUICK_BRANCHES)
     cuts = {}
     for label, run in (("scalar", simulate), ("vec", simulate_batch)):
@@ -209,7 +233,7 @@ def test_tage_checkpoint_stream_matches_scalar(name, every):
     assert len(cuts["vec"]) >= 5
 
 
-@pytest.mark.parametrize("name", ["tage", "isl-tage"])
+@pytest.mark.parametrize("name", ["tage", "isl-tage", "bf-tage", "bf-isl-tage"])
 def test_tage_resume_across_kernels(name):
     # A scalar cut resumes through the kernel and a kernel cut resumes
     # through the scalar loop, both bit-identical to a straight run.
@@ -227,12 +251,61 @@ def test_tage_resume_across_kernels(name):
         assert resumed_p.state_hash() == straight_p.state_hash()
 
 
+def test_bftage10_checkpoint_stream_matches_scalar():
+    # The paper geometry: 777-branch cuts are shallower than the deepest
+    # boundaries (up to 2,048), so records cross segments in a later
+    # kernel call than the one that committed them.
+    trace = build_trace("SPEC08", 3_000)
+    cuts = {}
+    for label, run in (("scalar", simulate), ("vec", simulate_batch)):
+        collected = []
+        run(
+            BFTage(BFTageConfig.for_tables(10)),
+            trace,
+            track_providers=True,
+            checkpoint_every=777,
+            on_checkpoint=collected.append,
+        )
+        cuts[label] = [
+            (c.position, c.mispredictions, c.provider_hits, c.state_hash())
+            for c in collected
+        ]
+    assert cuts["vec"] == cuts["scalar"]
+    assert len(cuts["vec"]) == 3
+
+
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda: ISLTage(core=BFTage()),
-        BFTage,
-        BFISLTage,
+        lambda: ISLTage(core=BFTage(_small_bf_config())),
+        lambda: ISLTage(core=BFTage(_small_bf_config()), with_loop_predictor=False),
+        lambda: ISLTage(core=BFTage(_small_bf_config()), with_statistical_corrector=False),
+    ],
+    ids=["loop+sc", "sc-only", "loop-only"],
+)
+def test_isl_over_bftage_provider_attribution_matches_scalar(factory):
+    trace = build_trace("WILD1", QUICK_BRANCHES)
+    scalar, vec = _assert_identical(factory, trace, track_providers=True)
+    assert vec.provider_hits == scalar.provider_hits
+    assert sum(vec.provider_hits.values()) == len(trace)
+    assert {"base", "T1", "T4"} <= set(vec.provider_hits)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [lambda: ISLTage(core=BFTage()), BFTage, BFISLTage],
+    ids=["isl-over-bftage", "bftage", "bf-isl-tage"],
+)
+def test_bftage_kernel_covers_paper_geometry(factory):
+    assert kernel_for(factory()) is not None
+    _assert_identical(factory, build_trace("SPEC00", 600))
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: BFTage(_small_bf_config(), bias_oracle=lambda pc: None if pc & 4 else True),
+        lambda: BFTage(_small_bf_config(probabilistic_bst=True)),
         lambda: Tage(
             TageConfig(
                 num_tables=2,
@@ -250,7 +323,7 @@ def test_tage_resume_across_kernels(name):
             )
         ),
     ],
-    ids=["isl-over-bftage", "bftage", "bf-isl-tage", "tag-17", "index-17"],
+    ids=["bias-oracle", "probabilistic-bst", "tag-17", "index-17"],
 )
 def test_tage_kernel_gates(factory):
     predictor = factory()
