@@ -15,6 +15,7 @@ Categories: SPEC, FP, INT, MM, SERV (default INT, 15 000 branches).
 import sys
 
 from repro.core import BFTage, BFTageConfig, bf_neural_64kb
+from repro.orchestration import CampaignPlan, run_plan
 from repro.predictors import (
     AlwaysTaken,
     Bimodal,
@@ -25,7 +26,7 @@ from repro.predictors import (
     Tage,
     TageConfig,
 )
-from repro.sim import aggregate_mpki, evaluate_one
+from repro.sim import aggregate_mpki
 from repro.workloads import build_trace, trace_names
 
 
@@ -37,22 +38,24 @@ def main() -> None:
     print(f"generating {len(names)} {category} traces x {branches} branches...")
     traces = [build_trace(name, branches) for name in names]
 
-    contenders = [
-        ("always-taken", AlwaysTaken),
-        ("bimodal 16K", Bimodal),
-        ("gshare 64K", GShare),
-        ("perceptron h=32", lambda: GlobalPerceptron(rows=512, history_length=32)),
-        ("oh-snap h=128", ScaledNeural),
-        ("tage x10", lambda: Tage(TageConfig.for_tables(10))),
-        ("isl-tage x10", lambda: ISLTage(TageConfig.for_tables(10))),
-        ("bf-tage x10", lambda: BFTage(BFTageConfig.for_tables(10))),
-        ("bf-neural 64KB", bf_neural_64kb),
-    ]
+    contenders = {
+        "always-taken": AlwaysTaken,
+        "bimodal 16K": Bimodal,
+        "gshare 64K": GShare,
+        "perceptron h=32": lambda: GlobalPerceptron(rows=512, history_length=32),
+        "oh-snap h=128": ScaledNeural,
+        "tage x10": lambda: Tage(TageConfig.for_tables(10)),
+        "isl-tage x10": lambda: ISLTage(TageConfig.for_tables(10)),
+        "bf-tage x10": lambda: BFTage(BFTageConfig.for_tables(10)),
+        "bf-neural 64KB": bf_neural_64kb,
+    }
 
-    rows = []
-    for label, factory in contenders:
-        results = evaluate_one(factory, traces)
-        rows.append((label, aggregate_mpki(results), factory().storage_bits() // 8192))
+    # One grid, each predictor on its batch kernel where one exists.
+    results = run_plan(CampaignPlan(factories=contenders, traces=traces, kernel="auto"))
+    rows = [
+        (label, aggregate_mpki(results[label]), factory().storage_bits() // 8192)
+        for label, factory in contenders.items()
+    ]
     rows.sort(key=lambda row: row[1])
 
     print(f"\n{'predictor':18s} {'avg MPKI':>9s} {'~KB':>5s}")

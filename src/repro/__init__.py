@@ -12,8 +12,10 @@ The package provides:
 * ``repro.workloads`` — a deterministic synthetic 40-trace suite
   standing in for the proprietary CBP-4 traces;
 * ``repro.trace`` — trace records, a binary on-disk format, statistics;
-* ``repro.sim`` — the trace-driven simulator, metrics and campaign
-  runner;
+* ``repro.sim`` — the trace-driven simulator, its batch kernels and
+  metrics;
+* ``repro.orchestration`` — the campaign engine that runs predictor ×
+  trace grids (``CampaignPlan`` + ``run_plan``);
 * ``repro.experiments`` — one runnable module per paper table/figure.
 
 Quickstart::
@@ -51,7 +53,7 @@ from repro.predictors import (
     Tage,
     TageConfig,
 )
-from repro.sim import Campaign, SimulationResult, aggregate_mpki, run_campaign, simulate
+from repro.sim import SimulationResult, aggregate_mpki, simulate
 from repro.trace import Trace, TraceMetadata, compute_stats, read_trace, write_trace
 from repro.workloads import SUITE_NAMES, build_suite, build_trace, trace_names
 
@@ -67,7 +69,6 @@ __all__ = [
     "BranchPredictor",
     "BranchStatus",
     "BranchStatusTable",
-    "Campaign",
     "GShare",
     "GlobalPerceptron",
     "ISLTage",
@@ -88,7 +89,6 @@ __all__ = [
     "build_trace",
     "compute_stats",
     "read_trace",
-    "run_campaign",
     "simulate",
     "trace_names",
     "write_trace",

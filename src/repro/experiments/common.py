@@ -18,10 +18,11 @@ from pathlib import Path
 
 from repro.core import BFISLTage, BFTageConfig, bf_neural_64kb
 from repro.core.bfneural import BFNeural, BFNeuralConfig
+from repro.orchestration import CampaignPlan, PredictorFactory, TraceSpec, run_plan
 from repro.predictors import ISLTage, ScaledNeural, TageConfig
-from repro.sim.runner import PredictorFactory
+from repro.sim.metrics import SimulationResult
 from repro.trace.records import Trace
-from repro.workloads import build_trace, trace_names
+from repro.workloads import trace_names
 
 
 def make_parser(description: str) -> argparse.ArgumentParser:
@@ -60,10 +61,20 @@ def make_parser(description: str) -> argparse.ArgumentParser:
     return parser
 
 
+def trace_specs(args: argparse.Namespace) -> list[TraceSpec]:
+    """Suite recipes for the requested traces.
+
+    Workers build suite traces themselves, and a suite identity
+    (``suite:NAME:BRANCHES``) is what ``repro campaign`` fingerprints
+    too, so the figures and the CLI share result-store entries.
+    """
+    names = args.traces if args.traces else trace_names(args.categories)
+    return [TraceSpec.suite(name, args.branches) for name in names]
+
+
 def load_traces(args: argparse.Namespace) -> list[Trace]:
     """Build the requested subset of the suite."""
-    names = args.traces if args.traces else trace_names(args.categories)
-    return [build_trace(name, args.branches) for name in names]
+    return [spec.resolve() for spec in trace_specs(args)]
 
 
 def cache_dir_of(args: argparse.Namespace) -> Path | None:
@@ -72,13 +83,29 @@ def cache_dir_of(args: argparse.Namespace) -> Path | None:
     return args.cache_dir
 
 
-def campaign_options(args: argparse.Namespace) -> dict:
-    """Campaign keyword arguments every figure script shares."""
-    return {
-        "cache_dir": cache_dir_of(args),
-        "verbose": args.verbose,
-        "jobs": getattr(args, "jobs", 1),
-    }
+def run_grid(
+    args: argparse.Namespace,
+    factories: dict[str, PredictorFactory],
+    specs: list[TraceSpec],
+    track_providers: bool = False,
+) -> dict[str, list[SimulationResult]]:
+    """Evaluate every factory over every trace with the figure CLI options.
+
+    Runs on the batch kernel wherever one supports the predictor
+    (``kernel="auto"``); results are bit-identical to the scalar loop.
+    Returns ``{config_name: [result per trace, in trace order]}``.
+    """
+    return run_plan(
+        CampaignPlan(
+            factories=factories,
+            traces=specs,
+            track_providers=track_providers,
+            store_dir=cache_dir_of(args),
+            jobs=args.jobs,
+            verbose=args.verbose,
+            kernel="auto",
+        )
+    )
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from repro.experiments import common
 from repro.experiments.report import format_table, write_report
-from repro.sim import Campaign, aggregate_mpki, run_campaign
+from repro.sim import aggregate_mpki, simulate
 from repro.sim.energy import profile_of
 
 
 def run(args) -> str:
-    traces = common.load_traces(args)
+    specs = common.trace_specs(args)
     # Names match the Figure 8/10 campaigns so cached results are reused.
     factories = {
         "OH-SNAP": common.oh_snap,
@@ -31,12 +31,7 @@ def run(args) -> str:
         "BF-ISL-TAGE-7": common.factory(common.bf_isl_tage, 7),
         "BF-Neural": common.bf_neural,
     }
-    campaign = Campaign(
-        factories=factories,
-        traces=traces,
-        **common.campaign_options(args),
-    )
-    results = run_campaign(campaign)
+    results = common.run_grid(args, factories, specs)
 
     rows = []
     for name, factory in factories.items():
@@ -44,9 +39,8 @@ def run(args) -> str:
         if name == "BF-Neural":
             # Warm the BST on the first trace so the gating fraction is
             # representative rather than the cold default.
-            from repro.sim import simulate
-
-            simulate(predictor, traces[0].truncated(min(len(traces[0]), 10_000)))
+            first = specs[0].resolve()
+            simulate(predictor, first.truncated(min(len(first), 10_000)))
         profile = profile_of(predictor)
         rows.append(
             [

@@ -11,23 +11,17 @@ from __future__ import annotations
 
 from repro.experiments import common
 from repro.experiments.report import format_table, write_report
-from repro.sim import Campaign, aggregate_mpki, run_campaign
+from repro.sim import aggregate_mpki
 
 TABLE_COUNTS = list(range(4, 11))
 
 
 def run(args) -> str:
-    traces = common.load_traces(args)
     factories = {}
     for count in TABLE_COUNTS:
         factories[f"ISL-TAGE-{count}"] = common.factory(common.isl_tage, count)
         factories[f"BF-ISL-TAGE-{count}"] = common.factory(common.bf_isl_tage, count)
-    campaign = Campaign(
-        factories=factories,
-        traces=traces,
-        **common.campaign_options(args),
-    )
-    results = run_campaign(campaign)
+    results = common.run_grid(args, factories, common.trace_specs(args))
 
     rows = []
     crossover = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.experiments import common
 from repro.experiments.report import format_table, write_report
-from repro.sim import Campaign, run_campaign
 
 LONG_HISTORY_TRACES = {
     "SPEC00", "SPEC02", "SPEC03", "SPEC06", "SPEC09", "SPEC10", "SPEC15",
@@ -21,29 +20,28 @@ LONG_HISTORY_TRACES = {
 
 
 def run(args) -> str:
-    traces = common.load_traces(args)
-    campaign = Campaign(
-        factories={
+    specs = common.trace_specs(args)
+    results = common.run_grid(
+        args,
+        {
             "ISL-TAGE-10": common.factory(common.isl_tage, 10),
             "ISL-TAGE-15": common.factory(common.isl_tage, 15),
             "BF-ISL-TAGE-10": common.factory(common.bf_isl_tage, 10),
         },
-        traces=traces,
-        **common.campaign_options(args),
+        specs,
     )
-    results = run_campaign(campaign)
 
     rows = []
     tracked = both = 0
-    for i, trace in enumerate(traces):
+    for i, spec in enumerate(specs):
         base = results["ISL-TAGE-10"][i].mpki
         t15 = results["ISL-TAGE-15"][i].mpki
         bf10 = results["BF-ISL-TAGE-10"][i].mpki
         imp_t15 = 100.0 * (base - t15) / base if base else 0.0
         imp_bf = 100.0 * (base - bf10) / base if base else 0.0
-        marker = "*" if trace.name in LONG_HISTORY_TRACES else ""
-        rows.append([trace.name + marker, imp_t15, imp_bf, imp_bf - imp_t15])
-        if trace.name in LONG_HISTORY_TRACES:
+        marker = "*" if spec.name in LONG_HISTORY_TRACES else ""
+        rows.append([spec.name + marker, imp_t15, imp_bf, imp_bf - imp_t15])
+        if spec.name in LONG_HISTORY_TRACES:
             tracked += 1
             if imp_bf >= imp_t15 - 2.0:  # within 2 points counts as tracking
                 both += 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.experiments import common
 from repro.experiments.report import format_table, write_report
-from repro.sim import Campaign, run_campaign
 
 #: The traces Figure 12 plots.
 FIG12_TRACES = ["SPEC00", "SPEC02", "SPEC03", "SPEC06", "SPEC09", "SPEC15", "SPEC17"]
@@ -37,21 +36,20 @@ def _mean_table(percentages: list[float]) -> float:
 def run(args) -> str:
     if args.traces is None:
         args.traces = list(FIG12_TRACES)
-    traces = common.load_traces(args)
-    campaign = Campaign(
-        factories={
+    specs = common.trace_specs(args)
+    results = common.run_grid(
+        args,
+        {
             "ISL-TAGE-15": common.factory(common.isl_tage, 15),
             "BF-ISL-TAGE-10": common.factory(common.bf_isl_tage, 10),
         },
-        traces=traces,
+        specs,
         track_providers=True,
-        **common.campaign_options(args),
     )
-    results = run_campaign(campaign)
 
     sections = []
     shifted = 0
-    for i, trace in enumerate(traces):
+    for i, spec in enumerate(specs):
         tage_pct = _hit_percentages(results["ISL-TAGE-15"][i], 15)
         bf_pct = _hit_percentages(results["BF-ISL-TAGE-10"][i], 10)
         rows = []
@@ -71,13 +69,13 @@ def run(args) -> str:
             format_table(
                 ["table", "TAGE-15 %hits", "BF-TAGE-10 %hits"],
                 rows,
-                title=f"-- {trace.name} (mean provider table: TAGE {mean_tage:.2f}, "
+                title=f"-- {spec.name} (mean provider table: TAGE {mean_tage:.2f}, "
                 f"BF {mean_bf:.2f})",
             )
         )
     summary = (
         f"\nBF-TAGE's hit distribution sits at a lower mean table on "
-        f"{shifted}/{len(traces)} traces (paper: shift from longer- to "
+        f"{shifted}/{len(specs)} traces (paper: shift from longer- to "
         f"shorter-history tables on all plotted traces)"
     )
     return (

@@ -12,28 +12,27 @@ from __future__ import annotations
 
 from repro.experiments import common
 from repro.experiments.report import format_table, write_report
-from repro.sim import Campaign, aggregate_mpki, run_campaign
+from repro.sim import aggregate_mpki
 
 
 def run(args) -> str:
-    traces = common.load_traces(args)
-    campaign = Campaign(
-        factories={
+    specs = common.trace_specs(args)
+    results = common.run_grid(
+        args,
+        {
             "OH-SNAP": common.oh_snap,
             "TAGE": common.factory(common.tage_with_loop, 15),
             "BF-Neural": common.bf_neural,
         },
-        traces=traces,
-        **common.campaign_options(args),
+        specs,
     )
-    results = run_campaign(campaign)
 
     headers = ["trace"] + list(results) + ["best"]
     rows = []
-    for i, trace in enumerate(traces):
+    for i, spec in enumerate(specs):
         mpkis = {name: results[name][i].mpki for name in results}
         best = min(mpkis, key=mpkis.get)
-        rows.append([trace.name] + [mpkis[name] for name in results] + [best])
+        rows.append([spec.name] + [mpkis[name] for name in results] + [best])
     averages = {name: aggregate_mpki(results[name]) for name in results}
     rows.append(["Avg."] + [averages[name] for name in results] + [""])
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.experiments import common
 from repro.experiments.report import format_table, write_report
-from repro.sim import Campaign, aggregate_mpki, run_campaign
+from repro.sim import aggregate_mpki
 
 STAGES = [
     "Conventional Perceptron",
@@ -30,23 +30,22 @@ STAGES = [
 
 
 def run(args) -> str:
-    traces = common.load_traces(args)
-    campaign = Campaign(
-        factories={
+    specs = common.trace_specs(args)
+    results = common.run_grid(
+        args,
+        {
             STAGES[0]: common.conventional_perceptron_72,
             STAGES[1]: common.factory(common.bf_neural_stage, 1),
             STAGES[2]: common.factory(common.bf_neural_stage, 2),
             STAGES[3]: common.factory(common.bf_neural_stage, 3),
         },
-        traces=traces,
-        **common.campaign_options(args),
+        specs,
     )
-    results = run_campaign(campaign)
 
     headers = ["trace"] + [f"stage{i}" for i in range(len(STAGES))]
     rows = []
-    for i, trace in enumerate(traces):
-        rows.append([trace.name] + [results[name][i].mpki for name in STAGES])
+    for i, spec in enumerate(specs):
+        rows.append([spec.name] + [results[name][i].mpki for name in STAGES])
     averages = [aggregate_mpki(results[name]) for name in STAGES]
     rows.append(["Avg."] + averages)
 

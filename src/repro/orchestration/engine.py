@@ -1,9 +1,9 @@
 """The campaign engine: plan a grid, serve caches, schedule the rest.
 
 ``run_plan`` is the single execution substrate every campaign goes
-through — the legacy ``repro.sim.runner.run_campaign`` shim, the figure
-scripts, ``repro simulate --jobs N`` and ``repro campaign`` all build a
-:class:`CampaignPlan` and call it.  The flow:
+through — the figure scripts, ``repro simulate --jobs N`` and
+``repro campaign`` all build a :class:`CampaignPlan` and call it.  The
+flow:
 
 1. fingerprint every (factory × trace) cell (one throwaway predictor
    instantiation per factory),

@@ -38,7 +38,7 @@ from repro.common.tablestate import (
 )
 from repro.predictors.base import BranchPredictor, hot_path
 from repro.sim.metrics import SimCheckpoint, SimulationResult
-from repro.sim.simulator import simulate
+from repro.sim.simulator import _begin_run, _finish_run, simulate
 from repro.trace.records import Trace
 
 KERNEL_MODES = ("scalar", "vectorized", "auto")
@@ -489,45 +489,11 @@ def simulate_batch(
             on_checkpoint=on_checkpoint,
         )
 
-    if warmup_branches < 0:
-        raise ValueError(f"warmup_branches must be non-negative, got {warmup_branches}")
-    if checkpoint_every is not None and checkpoint_every <= 0:
-        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
-
+    start, end, mispredictions, provider_hits, cut = _begin_run(
+        predictor, trace, warmup_branches, resume_from, stop_after, checkpoint_every
+    )
     pcs, outcomes = trace.arrays()
     total = len(pcs)
-
-    start = 0
-    mispredictions = 0
-    provider_hits: dict[str, int] = {}
-    if resume_from is not None:
-        if resume_from.trace_name and resume_from.trace_name != trace.name:
-            raise ValueError(
-                f"checkpoint was cut from trace {resume_from.trace_name!r}, "
-                f"cannot resume over {trace.name!r}"
-            )
-        if not 0 <= resume_from.position <= total:
-            raise ValueError(
-                f"checkpoint position {resume_from.position} outside trace "
-                f"of {total} branches"
-            )
-        predictor.restore(resume_from.predictor_state)
-        start = resume_from.position
-        mispredictions = resume_from.mispredictions
-        provider_hits = dict(resume_from.provider_hits)
-
-    end = total if stop_after is None else min(stop_after, total)
-    if end < start:
-        raise ValueError(f"stop_after={stop_after} is before resume position {start}")
-
-    def cut(position: int, mispredicted: int) -> SimCheckpoint:
-        return SimCheckpoint(
-            position=position,
-            mispredictions=mispredicted,
-            provider_hits=dict(provider_hits),
-            predictor_state=predictor.snapshot(),
-            trace_name=trace.name,
-        )
 
     # Segment boundaries: the scalar loop streams a cut whenever an
     # absolute position is a multiple of checkpoint_every (and not the
@@ -573,21 +539,15 @@ def simulate_batch(
             on_checkpoint(cut(seg_end, mispredictions))
         seg_start = seg_end
 
-    measured = max(0, end - warmup_branches)
-    instructions = trace.instruction_count
-    if total and measured != total:
-        instructions = max(1, round(instructions * measured / total))
-    segmented = (
-        resume_from is not None or stop_after is not None or checkpoint_every is not None
-    )
-    return SimulationResult(
-        trace_name=trace.name,
-        predictor_name=predictor.name,
-        branches=measured,
-        instructions=instructions,
-        mispredictions=mispredictions,
-        provider_hits=provider_hits,
-        checkpoint=cut(end, mispredictions) if segmented else None,
+    return _finish_run(
+        predictor,
+        trace,
+        end,
+        warmup_branches,
+        mispredictions,
+        provider_hits,
+        resume_from is not None or stop_after is not None or checkpoint_every is not None,
+        cut,
     )
 
 

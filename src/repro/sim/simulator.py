@@ -90,6 +90,97 @@ def _run_tracked(
     return mispredictions
 
 
+def _begin_run(
+    predictor: BranchPredictor,
+    trace: Trace,
+    warmup_branches: int,
+    resume_from: SimCheckpoint | None,
+    stop_after: int | None,
+    checkpoint_every: int | None,
+) -> tuple[int, int, int, dict[str, int], Callable[[int, int], SimCheckpoint]]:
+    """Validate a run's arguments and restore its resume point.
+
+    Shared by :func:`simulate` and ``repro.sim.batchkernel.simulate_batch``
+    so the two entry points cannot drift.  Returns ``(start, end,
+    mispredictions, provider_hits, cut)``: the absolute branch span to
+    replay, the counters carried over from ``resume_from``, and
+    ``cut(position, mispredicted)``, which snapshots a checkpoint.  The
+    caller updates ``provider_hits`` in place, so every cut sees the
+    counts at its position.
+    """
+    if warmup_branches < 0:
+        raise ValueError(f"warmup_branches must be non-negative, got {warmup_branches}")
+    if checkpoint_every is not None and checkpoint_every <= 0:
+        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
+
+    total = len(trace)
+    start = 0
+    mispredictions = 0
+    provider_hits: dict[str, int] = {}
+    if resume_from is not None:
+        if resume_from.trace_name and resume_from.trace_name != trace.name:
+            raise ValueError(
+                f"checkpoint was cut from trace {resume_from.trace_name!r}, "
+                f"cannot resume over {trace.name!r}"
+            )
+        if not 0 <= resume_from.position <= total:
+            raise ValueError(
+                f"checkpoint position {resume_from.position} outside trace "
+                f"of {total} branches"
+            )
+        predictor.restore(resume_from.predictor_state)
+        start = resume_from.position
+        mispredictions = resume_from.mispredictions
+        provider_hits = dict(resume_from.provider_hits)
+
+    end = total if stop_after is None else min(stop_after, total)
+    if end < start:
+        raise ValueError(f"stop_after={stop_after} is before resume position {start}")
+
+    def cut(position: int, mispredicted: int) -> SimCheckpoint:
+        return SimCheckpoint(
+            position=position,
+            mispredictions=mispredicted,
+            provider_hits=dict(provider_hits),
+            predictor_state=predictor.snapshot(),
+            trace_name=trace.name,
+        )
+
+    return start, end, mispredictions, provider_hits, cut
+
+
+def _finish_run(
+    predictor: BranchPredictor,
+    trace: Trace,
+    end: int,
+    warmup_branches: int,
+    mispredictions: int,
+    provider_hits: dict[str, int],
+    segmented: bool,
+    cut: Callable[[int, int], SimCheckpoint],
+) -> SimulationResult:
+    """The result of a run that stopped at ``end``.
+
+    Only the measured (post-warmup) branches count, and the instruction
+    count is rescaled to match.  A ``segmented`` run also carries the
+    checkpoint at ``end``.
+    """
+    total = len(trace)
+    measured = max(0, end - warmup_branches)
+    instructions = trace.instruction_count
+    if total and measured != total:
+        instructions = max(1, round(instructions * measured / total))
+    return SimulationResult(
+        trace_name=trace.name,
+        predictor_name=predictor.name,
+        branches=measured,
+        instructions=instructions,
+        mispredictions=mispredictions,
+        provider_hits=provider_hits,
+        checkpoint=cut(end, mispredictions) if segmented else None,
+    )
+
+
 def simulate(
     predictor: BranchPredictor,
     trace: Trace,
@@ -124,46 +215,11 @@ def simulate(
       of where the segment started, so resumed runs cut at the same
       places a straight run would).
     """
-    if warmup_branches < 0:
-        raise ValueError(f"warmup_branches must be non-negative, got {warmup_branches}")
-    if checkpoint_every is not None and checkpoint_every <= 0:
-        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
-
+    start, end, mispredictions, provider_hits, cut = _begin_run(
+        predictor, trace, warmup_branches, resume_from, stop_after, checkpoint_every
+    )
     pcs = trace.pcs
     outcomes = trace.outcomes
-    total = len(pcs)
-
-    start = 0
-    mispredictions = 0
-    provider_hits: dict[str, int] = {}
-    if resume_from is not None:
-        if resume_from.trace_name and resume_from.trace_name != trace.name:
-            raise ValueError(
-                f"checkpoint was cut from trace {resume_from.trace_name!r}, "
-                f"cannot resume over {trace.name!r}"
-            )
-        if not 0 <= resume_from.position <= total:
-            raise ValueError(
-                f"checkpoint position {resume_from.position} outside trace "
-                f"of {total} branches"
-            )
-        predictor.restore(resume_from.predictor_state)
-        start = resume_from.position
-        mispredictions = resume_from.mispredictions
-        provider_hits = dict(resume_from.provider_hits)
-
-    end = total if stop_after is None else min(stop_after, total)
-    if end < start:
-        raise ValueError(f"stop_after={stop_after} is before resume position {start}")
-
-    def cut(position: int, mispredicted: int) -> SimCheckpoint:
-        return SimCheckpoint(
-            position=position,
-            mispredictions=mispredicted,
-            provider_hits=dict(provider_hits),
-            predictor_state=predictor.snapshot(),
-            trace_name=trace.name,
-        )
 
     fast = (
         warmup_branches == 0
@@ -182,7 +238,7 @@ def simulate(
             outcomes,
             start,
             end,
-            total,
+            len(pcs),
             mispredictions,
             provider_hits,
             warmup_branches,
@@ -193,19 +249,13 @@ def simulate(
             cut,
         )
 
-    measured = max(0, end - warmup_branches)
-    instructions = trace.instruction_count
-    if total and measured != total:
-        instructions = max(1, round(instructions * measured / total))
-    segmented = (
-        resume_from is not None or stop_after is not None or checkpoint_every is not None
-    )
-    return SimulationResult(
-        trace_name=trace.name,
-        predictor_name=predictor.name,
-        branches=measured,
-        instructions=instructions,
-        mispredictions=mispredictions,
-        provider_hits=provider_hits,
-        checkpoint=cut(end, mispredictions) if segmented else None,
+    return _finish_run(
+        predictor,
+        trace,
+        end,
+        warmup_branches,
+        mispredictions,
+        provider_hits,
+        resume_from is not None or stop_after is not None or checkpoint_every is not None,
+        cut,
     )

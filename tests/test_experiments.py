@@ -3,12 +3,14 @@
 import pytest
 
 from repro.experiments import (
+    energy_analysis,
     fig2_bias,
     fig8_mpki,
     fig9_ablation,
     fig10_tables,
     fig11_relative,
     fig12_hits,
+    profile_assisted,
     table1_storage,
 )
 from repro.experiments.report import format_bar_chart, format_table, write_report
@@ -101,6 +103,45 @@ class TestFig12:
         assert fig12_hits.FIG12_TRACES == [
             "SPEC00", "SPEC02", "SPEC03", "SPEC06", "SPEC09", "SPEC15", "SPEC17",
         ]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        fig8_mpki,
+        fig9_ablation,
+        fig10_tables,
+        fig11_relative,
+        fig12_hits,
+        energy_analysis,
+        profile_assisted,
+    ],
+    ids=lambda module: module.__name__.rsplit(".", 1)[-1],
+)
+def test_kernel_report_matches_scalar(module, monkeypatch):
+    """The figures run ``kernel="auto"``; the report must not change.
+
+    With ``jobs=1`` every task runs in-process, so a ``kernel_for`` that
+    finds no kernel turns the same run into the scalar reference loop.
+    """
+    from repro.sim import batchkernel
+
+    if module is fig10_tables:
+        monkeypatch.setattr(fig10_tables, "TABLE_COUNTS", [4, 5])
+    kernel_for = batchkernel.kernel_for
+    used = []
+
+    def spy(predictor):
+        impl = kernel_for(predictor)
+        used.append(impl is not None)
+        return impl
+
+    monkeypatch.setattr(batchkernel, "kernel_for", spy)
+    with_kernel = module.run(tiny_args(module))
+    assert any(used), "no predictor of this figure ran on a batch kernel"
+
+    monkeypatch.setattr(batchkernel, "kernel_for", lambda predictor: None)
+    assert module.run(tiny_args(module)) == with_kernel
 
 
 class TestTable1:

@@ -1,11 +1,11 @@
-"""Additional coverage: TAGE internals, runner verbosity, config edges."""
+"""Additional coverage: TAGE internals, campaign verbosity, config edges."""
 
 import pytest
 
 from repro.core.bftage import BFTage, BFTageConfig
+from repro.orchestration import CampaignPlan, run_plan
 from repro.predictors import Tage, TageConfig
 from repro.predictors.tage.tage import MAX_HISTORY_BY_TABLES, _default_sizing
-from repro.sim.runner import Campaign, run_campaign
 from repro.trace.records import Trace, TraceMetadata
 
 
@@ -88,11 +88,11 @@ class TestRunnerVerbose:
     def test_verbose_prints_progress(self, capsys):
         from repro.predictors import AlwaysTaken
 
-        campaign = Campaign(
+        plan = CampaignPlan(
             factories={"always": AlwaysTaken},
             traces=[trace_of([(4, True)] * 30, name="V1")],
             verbose=True,
         )
-        run_campaign(campaign)
+        run_plan(plan)
         out = capsys.readouterr().out
         assert "V1" in out and "mpki" in out

@@ -1,10 +1,10 @@
-"""Tests for the simulator, metrics and campaign runner."""
+"""Tests for the simulator, metrics and campaign grids."""
 
 import pytest
 
 from repro.predictors import AlwaysTaken, Bimodal
 from repro.sim.metrics import SimulationResult, aggregate_mpki, relative_improvement
-from repro.sim.runner import Campaign, evaluate_one, run_campaign
+from repro.orchestration import CampaignPlan, run_plan
 from repro.sim.simulator import simulate
 from repro.trace.records import Trace, TraceMetadata
 
@@ -108,58 +108,54 @@ class TestRunner:
             trace_of([(4, False)] * 50, name="B"),
         ]
 
-    def test_run_campaign_shapes(self):
-        campaign = Campaign(
+    def test_run_plan_shapes(self):
+        plan = CampaignPlan(
             factories={"always": AlwaysTaken, "bimodal": Bimodal},
             traces=self.traces(),
         )
-        results = run_campaign(campaign)
+        results = run_plan(plan)
         assert set(results) == {"always", "bimodal"}
         assert [r.trace_name for r in results["always"]] == ["A", "B"]
 
     def test_fresh_predictor_per_trace(self):
         """State must not leak between traces."""
-        campaign = Campaign(factories={"bimodal": Bimodal}, traces=self.traces())
-        results = run_campaign(campaign)
+        plan = CampaignPlan(factories={"bimodal": Bimodal}, traces=self.traces())
+        results = run_plan(plan)
         # Trace B is all not-taken; a fresh bimodal mispredicts the first
         # couple only.  A leaked, taken-saturated bimodal would do worse.
         assert results["bimodal"][1].mispredictions <= 3
 
     def test_cache_roundtrip(self, tmp_path):
-        campaign = Campaign(
+        plan = CampaignPlan(
             factories={"always": AlwaysTaken},
             traces=self.traces(),
-            cache_dir=tmp_path,
+            store_dir=tmp_path,
         )
-        first = run_campaign(campaign)
+        first = run_plan(plan)
         assert len(list(tmp_path.glob("*.json"))) == 2
-        second = run_campaign(campaign)
+        second = run_plan(plan)
         assert first["always"][0].mispredictions == second["always"][0].mispredictions
 
     def test_cache_rejects_missing_providers(self, tmp_path):
-        base = Campaign(
-            factories={"always": AlwaysTaken}, traces=self.traces(), cache_dir=tmp_path
+        base = CampaignPlan(
+            factories={"always": AlwaysTaken}, traces=self.traces(), store_dir=tmp_path
         )
-        run_campaign(base)
-        with_providers = Campaign(
+        run_plan(base)
+        with_providers = CampaignPlan(
             factories={"always": AlwaysTaken},
             traces=self.traces(),
-            cache_dir=tmp_path,
+            store_dir=tmp_path,
             track_providers=True,
         )
-        results = run_campaign(with_providers)
+        results = run_plan(with_providers)
         assert results["always"][0].provider_hits  # re-simulated
 
     def test_corrupt_cache_entry_ignored(self, tmp_path):
-        campaign = Campaign(
-            factories={"always": AlwaysTaken}, traces=self.traces(), cache_dir=tmp_path
+        plan = CampaignPlan(
+            factories={"always": AlwaysTaken}, traces=self.traces(), store_dir=tmp_path
         )
-        run_campaign(campaign)
+        run_plan(plan)
         for path in tmp_path.glob("*.json"):
             path.write_text("{not json")
-        results = run_campaign(campaign)
+        results = run_plan(plan)
         assert results["always"][0].branches == 50
-
-    def test_evaluate_one(self):
-        results = evaluate_one(AlwaysTaken, self.traces())
-        assert len(results) == 2
