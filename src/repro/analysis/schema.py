@@ -15,7 +15,7 @@ It extracts, from the linted sources themselves:
   ...)`` call with a literal event kind,
 * every dict literal carrying a literal ``"type"`` entry in a
   *protocol module* (one that defines or imports ``send_message`` /
-  ``recv_message``), and
+  ``recv_message`` / ``ProtocolServer``), and
 * every dict literal carrying a literal ``"kind"`` entry in a
   *manifest module* (one that defines or imports ``parse_manifest`` /
   ``load_manifest``) — suite-manifest entry templates,
@@ -59,8 +59,9 @@ RULES = {
     "REPRO306": "manifest entry missing required keys",
 }
 
-#: Names whose presence (definition or import) marks a protocol module.
-_PROTOCOL_MARKERS = {"send_message", "recv_message"}
+#: Names whose presence (definition or import) marks a protocol module:
+#: the frame codec, or the shared server whose handlers build replies.
+_PROTOCOL_MARKERS = {"send_message", "recv_message", "ProtocolServer"}
 
 #: Names whose presence (definition or import) marks a manifest module.
 _MANIFEST_MARKERS = {"parse_manifest", "load_manifest"}

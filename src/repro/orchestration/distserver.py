@@ -2,7 +2,9 @@
 
 The :class:`Coordinator` turns a :class:`~repro.orchestration.engine.
 CampaignPlan` into a work-stealing queue served over the length-prefixed
-JSON protocol of :mod:`repro.orchestration.remote`.  Executors (same
+JSON protocol of :mod:`repro.orchestration.remote`, on the protocol
+server it shares with the prediction service
+(:mod:`repro.orchestration.netserver`).  Executors (same
 host or SSH-reachable peers sharing the store filesystem) claim
 *leases* on tasks; a lease expires if the executor neither renews nor
 completes it within ``lease_ttl`` seconds, returning the task to the
@@ -26,7 +28,6 @@ failure matrix.
 
 from __future__ import annotations
 
-import socket
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -40,16 +41,8 @@ from repro.orchestration.engine import (
     settle_from_cache,
 )
 from repro.orchestration.manifest import campaign_id_of
-from repro.orchestration.remote import (
-    DEFAULT_REGISTRY,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    SessionFsm,
-    encode_task,
-    recv_message,
-    send_message,
-    token_matches,
-)
+from repro.orchestration.netserver import Peer, ProtocolServer, acknowledge, error_reply
+from repro.orchestration.remote import DEFAULT_REGISTRY, PROTOCOL_VERSION, encode_task
 from repro.orchestration.store import ResultStore, decode_result
 from repro.orchestration.tasks import Task, TaskOutcome
 from repro.orchestration.telemetry import Telemetry, monotonic
@@ -99,7 +92,6 @@ class Coordinator:
         self.lease_ttl = lease_ttl
         self.linger_s = linger_s
         self.poll_hint_s = poll_hint_s
-        self.auth_token = auth_token
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.results: dict | None = None
 
@@ -134,16 +126,30 @@ class Coordinator:
         # executor threads never interleave manifest appends.
         self._io_lock = threading.Lock()
         self._drained = threading.Event()
-        self._active_clients = 0
+        self._linger_until: float | None = None
         if not self._pending:
             self._drained.set()
 
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-        self._listener.settimeout(0.2)
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        # A renewing executor heartbeats every lease_ttl/3, so a read
+        # deadline of at least lease_ttl never cuts a live one.
+        self.net = ProtocolServer(
+            "campaign",
+            {
+                "hello": self._on_hello,
+                "claim": self._on_claim,
+                "renew": self._on_renew,
+                "result": self._on_result,
+                "bye": acknowledge,
+            },
+            roles=("coordinator", "executor"),
+            telemetry=self.telemetry,
+            host=host,
+            port=port,
+            auth_token=auth_token,
+            on_close=self._on_disconnect,
+            min_idle_s=lease_ttl,
+        )
+        self.address: tuple[str, int] = self.net.address
 
     # ------------------------------------------------------------------ serve
 
@@ -152,21 +158,11 @@ class Coordinator:
 
         After the last task settles the coordinator lingers briefly so
         connected executors hear ``drained`` and disconnect cleanly,
-        then closes the socket, emits ``campaign_finish`` and assembles
-        results exactly like :func:`run_plan`.
+        then closes the socket and any connection still open, emits
+        ``campaign_finish`` and assembles results exactly like
+        :func:`run_plan`.
         """
-        try:
-            while not self._drained.is_set():
-                self._expire_leases()
-                self._accept_one()
-            linger_deadline = monotonic() + self.linger_s
-            while monotonic() < linger_deadline:
-                with self._lock:
-                    if self._active_clients == 0:
-                        break
-                self._accept_one()
-        finally:
-            self._listener.close()
+        self.net.serve(self._keep_serving)
 
         # Settled is complete once drained, but late result/expiry threads
         # may still be in flight — snapshot it under the lock.
@@ -201,89 +197,18 @@ class Coordinator:
         thread.start()
         return thread
 
-    def _accept_one(self) -> None:
-        try:
-            conn, _addr = self._listener.accept()
-        except socket.timeout:
-            return
-        except OSError:
-            return
-        thread = threading.Thread(
-            target=self._serve_client, args=(conn,), daemon=True
-        )
-        thread.start()
+    def _keep_serving(self) -> bool:
+        """Accept-loop tick: expire leases, then linger once drained."""
+        if not self._drained.is_set():
+            self._expire_leases()
+            return True
+        if self._linger_until is None:
+            self._linger_until = monotonic() + self.linger_s
+        return self.net.live > 0 and monotonic() < self._linger_until
 
     # ----------------------------------------------------------- per-client
 
-    def _serve_client(self, sock: socket.socket) -> None:
-        executor: str | None = None
-        clean_exit = False
-        # The declared campaign machine (remote.PROTOCOL_FSMS) gates the
-        # session: nothing but ``hello`` is admitted from the start
-        # state, and claim/renew/result advance the joined self-loops.
-        fsm = SessionFsm("campaign")
-        with self._lock:
-            self._active_clients += 1
-        try:
-            while True:
-                message = recv_message(sock)
-                kind = message.get("type")
-                if kind == "hello":
-                    reply = self._on_hello(message)
-                    if reply["type"] == "welcome":
-                        executor = str(message.get("executor"))
-                        if fsm.state == "start":
-                            fsm.advance("hello")
-                elif not fsm.allows(kind):
-                    reply = {
-                        "type": "error",
-                        "error": f"say hello first (got {kind!r})",
-                    }
-                elif kind == "claim":
-                    reply = self._on_claim(message)
-                    fsm.advance("claim")
-                elif kind == "renew":
-                    reply = self._on_renew(message)
-                    fsm.advance("renew")
-                elif kind == "result":
-                    reply = self._on_result(message)
-                    fsm.advance("result")
-                elif kind == "bye":
-                    fsm.advance("bye")
-                    clean_exit = True
-                    send_message(sock, {"type": "ok"})
-                    break
-                else:
-                    reply = {"type": "error", "error": f"unknown message {kind!r}"}
-                send_message(sock, reply)
-        except (ConnectionError, OSError, ProtocolError):
-            pass
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            with self._lock:
-                self._active_clients -= 1
-            if executor is not None and not clean_exit and not self._drained.is_set():
-                self._on_executor_lost(executor, "connection lost")
-
-    def _on_hello(self, message: dict) -> dict:
-        if not token_matches(self.auth_token, message.get("token")):
-            self.telemetry.emit(
-                "auth_reject",
-                peer=str(message.get("executor")),
-                host=message.get("host"),
-            )
-            return {"type": "error", "error": "authentication failed"}
-        if message.get("protocol") != PROTOCOL_VERSION:
-            return {
-                "type": "error",
-                "error": (
-                    f"protocol version skew: coordinator {PROTOCOL_VERSION} "
-                    f"vs executor {message.get('protocol')}"
-                ),
-            }
+    def _on_hello(self, peer: Peer, message: dict) -> dict:
         self.telemetry.emit(
             "executor_join",
             executor=str(message.get("executor")),
@@ -302,7 +227,7 @@ class Coordinator:
             "lease_ttl": self.lease_ttl,
         }
 
-    def _on_claim(self, message: dict) -> dict:
+    def _on_claim(self, peer: Peer, message: dict) -> dict:
         executor = str(message.get("executor"))
         with self._lock:
             if len(self._settled) == len(self.tasks):
@@ -336,7 +261,7 @@ class Coordinator:
             "task": encode_task(task),
         }
 
-    def _on_renew(self, message: dict) -> dict:
+    def _on_renew(self, peer: Peer, message: dict) -> dict:
         with self._lock:
             lease = self._leases.get(str(message.get("lease_id")))
             if lease is None:
@@ -344,7 +269,7 @@ class Coordinator:
             lease.deadline = monotonic() + self.lease_ttl
             return {"type": "ok"}
 
-    def _on_result(self, message: dict) -> dict:
+    def _on_result(self, peer: Peer, message: dict) -> dict:
         executor = str(message.get("executor"))
         lease_id = str(message.get("lease_id"))
         index = message.get("index")
@@ -352,7 +277,7 @@ class Coordinator:
         with self._lock:
             self._leases.pop(lease_id, None)
             if index not in self._by_index:
-                return {"type": "error", "error": f"unknown task index {index!r}"}
+                return error_reply(f"unknown task index {index!r}")
             if index in self._settled:
                 return {"type": "stale"}
             task = self._by_index[index]
@@ -543,17 +468,16 @@ class Coordinator:
                 self._expire(lease, "lease ttl elapsed", after)
         self._flush_actions(after)
 
-    def _on_executor_lost(self, executor: str, reason: str) -> None:
-        self.telemetry.emit("executor_dead", executor=executor, reason=reason)
+    def _on_disconnect(self, peer: Peer) -> None:
+        """Expire the leases of an executor that left without ``bye``."""
+        if peer.name is None or peer.fsm.state == "end" or self._drained.is_set():
+            return
+        self.telemetry.emit("executor_dead", executor=peer.name, reason="connection lost")
         after: list[tuple] = []
         with self._lock:
-            held = [
-                lease
-                for lease in self._leases.values()
-                if lease.executor == executor
-            ]
+            held = [lease for lease in self._leases.values() if lease.executor == peer.name]
             for lease in held:
-                self._expire(lease, f"executor dead: {reason}", after)
+                self._expire(lease, "executor dead: connection lost", after)
         self._flush_actions(after)
 
     def _expire(self, lease: Lease, reason: str, after: list[tuple]) -> None:

@@ -17,7 +17,8 @@ Every message is one JSON object encoded UTF-8 and prefixed with a
 :data:`MAX_MESSAGE_BYTES` is transparently split into ``chunk``
 continuation frames (base64 slices of the original body) and
 re-assembled by :func:`recv_message`, so payload size is bounded by
-:data:`MAX_CHUNKS` × the frame limit rather than one frame.  Tasks
+:data:`MAX_ASSEMBLED_BYTES` (and :data:`MAX_CHUNKS` frames) rather than
+one frame.  Tasks
 travel as *recipes* — a registry config name plus a
 :class:`~repro.orchestration.tasks.TraceSpec` wire dict — never as
 pickled callables, so the protocol is language-agnostic and an
@@ -38,6 +39,7 @@ from __future__ import annotations
 import base64
 import hmac
 import importlib
+import json
 import os
 import socket
 import struct
@@ -59,10 +61,10 @@ PROTOCOL_VERSION = 1
 #: The closed protocol v1 vocabulary: every message ``type`` either side
 #: may construct, mapped to its required fields (extra fields are always
 #: allowed).  The REPRO3xx schema-drift lint cross-checks every message
-#: literal in this module and :mod:`~repro.orchestration.distserver`
-#: against this table, so adding a message without declaring it here
-#: fails lint; :func:`validate_message` offers the same check at
-#: runtime for tooling that builds frames dynamically.
+#: literal in the protocol modules (this one, the shared server and the
+#: servers built on it) against this table, so adding a message without
+#: declaring it here fails lint; :func:`validate_message` offers the
+#: same check at runtime for tooling that builds frames dynamically.
 MESSAGE_TYPES: dict[str, tuple[str, ...]] = {
     # executor -> coordinator
     "hello": ("executor", "protocol"),
@@ -102,19 +104,21 @@ MESSAGE_TYPES: dict[str, tuple[str, ...]] = {
 #: enforcement layers: the REPRO506 static check extracts the literal
 #: send sequences from every protocol module and simulates them against
 #: these machines, and :class:`SessionFsm` applies the same transitions
-#: at runtime inside the serving/coordinator connection handlers (and
-#: through :func:`validate_message` for tooling).  Keep the literal
-#: parseable — nested string-keyed dicts only.
+#: at runtime in the shared server's dispatch
+#: (:mod:`repro.orchestration.netserver`) and through
+#: :func:`validate_message` for tooling.  Keep the literal parseable —
+#: nested string-keyed dicts only.
 PROTOCOL_FSMS: dict[str, dict[str, dict[str, str]]] = {
     # serving: serve_hello -> session_open -> events* -> session_close
-    # (sessions may interleave on one connection) -> serve_bye
+    # -> serve_bye; sessions interleave, so closing one stays "open" (the
+    # server's session map refuses events for a closed session)
     "serving": {
         "start": {"serve_hello": "greeted"},
         "greeted": {"session_open": "open", "serve_bye": "end"},
         "open": {
             "session_open": "open",
             "events": "open",
-            "session_close": "greeted",
+            "session_close": "open",
             "serve_bye": "end",
         },
         "end": {},
@@ -178,10 +182,12 @@ class SessionFsm:
 #: Upper bound on one frame; anything larger is a corrupt length prefix.
 MAX_MESSAGE_BYTES = 16 * 1024 * 1024
 
-#: Continuation frames one logical message may span.  Bounds assembly
-#: memory: the largest deliverable message is MAX_CHUNKS × ~half the
-#: frame limit.
+#: Continuation frames one logical message may span.
 MAX_CHUNKS = 4096
+
+#: Absolute cap on a re-assembled chunked body, whatever the frame limit;
+#: the largest real message, a 65,536-event batch, is 1-2 MB of JSON.
+MAX_ASSEMBLED_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
@@ -253,8 +259,6 @@ def _chunk_step() -> int:
 
 def send_message(sock: socket.socket, message: dict) -> None:
     """Write one logical message, chunking when it exceeds one frame."""
-    import json
-
     body = json.dumps(message).encode("utf-8")
     if len(body) <= MAX_MESSAGE_BYTES:
         sock.sendall(_LENGTH.pack(len(body)) + body)
@@ -298,8 +302,6 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 def _recv_frame(sock: socket.socket) -> dict:
     """Read one length-prefixed JSON frame; raises on EOF/corruption."""
-    import json
-
     header = _recv_exact(sock, _LENGTH.size)
     (length,) = _LENGTH.unpack(header)
     if length > MAX_MESSAGE_BYTES:
@@ -315,12 +317,11 @@ def _recv_frame(sock: socket.socket) -> dict:
 
 def recv_message(sock: socket.socket) -> dict:
     """Read one logical message, re-assembling chunked continuations."""
-    import json
-
     message = _recv_frame(sock)
     if message.get("type") != "chunk":
         return message
     parts: list[bytes] = []
+    assembled_bytes = 0
     seq = 0
     while True:
         if message.get("seq") != seq:
@@ -328,9 +329,13 @@ def recv_message(sock: socket.socket) -> dict:
                 f"chunk sequence broken: expected {seq}, got {message.get('seq')!r}"
             )
         try:
-            parts.append(base64.b64decode(str(message.get("data", "")), validate=True))
+            part = base64.b64decode(str(message.get("data", "")), validate=True)
         except ValueError as exc:
             raise ProtocolError(f"undecodable chunk data: {exc}") from exc
+        assembled_bytes += len(part)
+        if assembled_bytes > MAX_ASSEMBLED_BYTES:
+            raise ProtocolError(f"chunked message exceeds {MAX_ASSEMBLED_BYTES} assembled bytes")
+        parts.append(part)
         if message.get("last"):
             break
         seq += 1

@@ -23,8 +23,9 @@ Sessions are connection-scoped: dropping the socket discards their
 state (clients that need durability close sessions explicitly and keep
 the returned ``state_hash``).  The wire vocabulary rides the campaign
 protocol's message registry (``MESSAGE_TYPES`` in
-:mod:`repro.orchestration.remote`) and the same shared-secret auth
-handshake guards untrusted networks.  See ``docs/serving.md``.
+:mod:`repro.orchestration.remote`), and the campaign coordinator's
+server (:mod:`repro.orchestration.netserver`) carries it, shared-secret
+handshake included.  See ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -32,16 +33,12 @@ from __future__ import annotations
 import os
 import socket
 import threading
+from dataclasses import dataclass
+from typing import Any
 
+from repro.orchestration.netserver import Peer, ProtocolServer, acknowledge, error_reply
 from repro.orchestration.registry import standard_registry
-from repro.orchestration.remote import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    SessionFsm,
-    recv_message,
-    send_message,
-    token_matches,
-)
+from repro.orchestration.remote import PROTOCOL_VERSION
 from repro.orchestration.tasks import PredictorFactory
 from repro.orchestration.telemetry import Telemetry, monotonic
 from repro.predictors.base import hot_path
@@ -71,45 +68,16 @@ def predict_batch(predict, train, pcs, outcomes, predictions, mispredictions) ->
     return mispredictions
 
 
+@dataclass(slots=True)
 class _Session:
     """One live predictor bound to a client's event stream."""
 
-    __slots__ = (
-        "session_id",
-        "client",
-        "config",
-        "workload",
-        "predictor",
-        "predict",
-        "train",
-        "position",
-        "mispredictions",
-        "events",
-        "started",
-    )
-
-    def __init__(
-        self,
-        session_id: str,
-        client: str,
-        config: str,
-        workload: str,
-        predictor,
-        position: int,
-        mispredictions: int,
-        started: float,
-    ) -> None:
-        self.session_id = session_id
-        self.client = client
-        self.config = config
-        self.workload = workload
-        self.predictor = predictor
-        self.predict = predictor.predict
-        self.train = predictor.train
-        self.position = position
-        self.mispredictions = mispredictions
-        self.events = 0
-        self.started = started
+    session_id: str
+    predictor: Any
+    position: int
+    mispredictions: int
+    started: float
+    events: int = 0
 
 
 def default_server_id() -> str:
@@ -119,11 +87,11 @@ def default_server_id() -> str:
 class PredictionServer:
     """Serve prediction sessions to many concurrent clients.
 
-    One daemon thread per connection, same listener discipline as the
-    campaign :class:`~repro.orchestration.distserver.Coordinator`
-    (0.2 s accept timeout so ``stop()`` is prompt).  Shared counters are
-    guarded by ``self._lock``; per-session state lives on the handler
-    thread and needs no lock.
+    Connections, the ``serve_hello`` handshake and message ordering are
+    the shared :class:`~repro.orchestration.netserver.ProtocolServer`'s
+    (``self.net``); this class keeps the serving handlers.  Shared
+    counters are guarded by ``self._lock``; a connection's sessions live
+    on its :class:`~repro.orchestration.netserver.Peer` and need no lock.
     """
 
     def __init__(
@@ -138,7 +106,6 @@ class PredictionServer:
     ) -> None:
         self.registry = registry if registry is not None else standard_registry()
         self.pool = pool
-        self.auth_token = auth_token
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.server_id = server_id or default_server_id()
         self._lock = threading.Lock()
@@ -146,12 +113,23 @@ class PredictionServer:
         self._open_sessions = 0
         self._closed_sessions = 0
         self._stop = threading.Event()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(128)
-        self._listener.settimeout(0.2)
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self.net = ProtocolServer(
+            "serving",
+            {
+                "serve_hello": self._welcome,
+                "session_open": self._open_session,
+                "events": self._on_events,
+                "session_close": self._close_session,
+                "serve_bye": acknowledge,
+            },
+            roles=("server", "client"),
+            telemetry=self.telemetry,
+            host=host,
+            port=port,
+            auth_token=auth_token,
+            on_close=self._drop_sessions,
+        )
+        self.address: tuple[str, int] = self.net.address
         self.telemetry.emit(
             "serve_start",
             host=self.address[0],
@@ -163,11 +141,7 @@ class PredictionServer:
 
     def serve_forever(self) -> None:
         """Accept connections until :meth:`stop` is called."""
-        try:
-            while not self._stop.is_set():
-                self._accept_one()
-        finally:
-            self._close_listener()
+        self.net.serve()
 
     def start(self) -> threading.Thread:
         """Run :meth:`serve_forever` in a daemon thread."""
@@ -176,103 +150,16 @@ class PredictionServer:
         return thread
 
     def stop(self) -> None:
-        """Stop accepting; connected handlers drain on their next recv."""
+        """Stop accepting and drop every live connection."""
         if self._stop.is_set():
             return
         self._stop.set()
-        self._close_listener()
+        self.net.close()
         with self._lock:
             closed = self._closed_sessions
         self.telemetry.emit("serve_stop", sessions=closed, server_id=self.server_id)
 
-    def _close_listener(self) -> None:
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def _accept_one(self) -> None:
-        try:
-            conn, _addr = self._listener.accept()
-        except socket.timeout:
-            return
-        except OSError:
-            return
-        threading.Thread(target=self._serve_client, args=(conn,), daemon=True).start()
-
-    # --------------------------------------------------------- per-client
-
-    def _serve_client(self, sock: socket.socket) -> None:
-        sessions: dict[str, _Session] = {}
-        client = "?"
-        # The declared serving machine (remote.PROTOCOL_FSMS) replaces
-        # the old `greeted` boolean: handlers advance it per handled
-        # message, so ordering is enforced by the same declaration the
-        # REPRO506 static check reads.  The machine models one session
-        # lifecycle; a connection multiplexing several sessions is
-        # pinned back to "open" while any remain.
-        fsm = SessionFsm("serving")
-        try:
-            while not self._stop.is_set():
-                message = recv_message(sock)
-                kind = message.get("type")
-                if kind == "serve_hello":
-                    if not fsm.allows("serve_hello"):
-                        reply = {"type": "error", "error": "duplicate serve_hello"}
-                    else:
-                        reply = self._on_hello(message)
-                        if reply["type"] == "serve_welcome":
-                            fsm.advance("serve_hello")
-                            client = str(message.get("client"))
-                        else:
-                            send_message(sock, reply)
-                            return
-                elif fsm.state == "start":
-                    reply = {"type": "error", "error": "say serve_hello first"}
-                elif kind == "session_open":
-                    reply = self._open_session(message, sessions, client)
-                    if reply["type"] == "session":
-                        fsm.advance("session_open")
-                elif kind == "events":
-                    reply = self._on_events(message, sessions)
-                    if reply["type"] == "predictions":
-                        fsm.advance("events")
-                elif kind == "session_close":
-                    reply = self._close_session(message, sessions)
-                    if reply["type"] == "session_summary":
-                        fsm.advance("session_close")
-                        if sessions:
-                            fsm.state = "open"
-                elif kind == "serve_bye":
-                    fsm.advance("serve_bye")
-                    send_message(sock, {"type": "ok"})
-                    return
-                else:
-                    reply = {"type": "error", "error": f"unknown message {kind!r}"}
-                send_message(sock, reply)
-        except (ConnectionError, OSError, ProtocolError):
-            pass
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            if sessions:
-                with self._lock:
-                    self._open_sessions -= len(sessions)
-
-    def _on_hello(self, message: dict) -> dict:
-        if not token_matches(self.auth_token, message.get("token")):
-            self.telemetry.emit("auth_reject", peer=str(message.get("client")))
-            return {"type": "error", "error": "authentication failed"}
-        if message.get("protocol") != PROTOCOL_VERSION:
-            return {
-                "type": "error",
-                "error": (
-                    f"protocol version skew: server {PROTOCOL_VERSION} "
-                    f"vs client {message.get('protocol')}"
-                ),
-            }
+    def _welcome(self, peer: Peer, message: dict) -> dict:
         return {
             "type": "serve_welcome",
             "protocol": PROTOCOL_VERSION,
@@ -280,26 +167,25 @@ class PredictionServer:
             "pool": self.pool.stats() if self.pool is not None else None,
         }
 
+    def _drop_sessions(self, peer: Peer) -> None:
+        with self._lock:
+            self._open_sessions -= len(peer.sessions)
+
     # ----------------------------------------------------------- sessions
 
-    def _open_session(
-        self, message: dict, sessions: dict[str, _Session], client: str
-    ) -> dict:
+    def _open_session(self, peer: Peer, message: dict) -> dict:
         config = str(message.get("config"))
         workload = str(message.get("workload"))
         factory = self.registry.get(config)
         if factory is None:
-            return {
-                "type": "error",
-                "error": f"unknown predictor config {config!r}",
-            }
+            return error_reply(f"unknown predictor config {config!r}")
         predictor = factory()
         position = 0
         mispredictions = 0
         warmed_from = None
         if message.get("warm"):
             if self.pool is None:
-                return {"type": "error", "error": "server has no warm pool"}
+                return error_reply("server has no warm pool")
             try:
                 shard = self.pool.acquire(
                     config,
@@ -308,7 +194,7 @@ class PredictionServer:
                     warmup=message.get("warmup"),
                 )
             except PoolError as exc:
-                return {"type": "error", "error": str(exc)}
+                return error_reply(str(exc))
             predictor.restore(shard.checkpoint.predictor_state)
             position = shard.checkpoint.position
             mispredictions = shard.checkpoint.mispredictions
@@ -317,11 +203,8 @@ class PredictionServer:
             self._session_seq += 1
             session_id = f"S{self._session_seq}"
             self._open_sessions += 1
-        sessions[session_id] = _Session(
+        peer.sessions[session_id] = _Session(
             session_id=session_id,
-            client=client,
-            config=config,
-            workload=workload,
             predictor=predictor,
             position=position,
             mispredictions=mispredictions,
@@ -330,7 +213,7 @@ class PredictionServer:
         self.telemetry.emit(
             "session_open",
             session=session_id,
-            client=client,
+            client=peer.name,
             config=config,
             workload=workload,
             warm=warmed_from,
@@ -346,33 +229,28 @@ class PredictionServer:
             "warmed_from": warmed_from,
         }
 
-    def _on_events(self, message: dict, sessions: dict[str, _Session]) -> dict:
-        session = sessions.get(str(message.get("session")))
+    def _on_events(self, peer: Peer, message: dict) -> dict:
+        session = peer.sessions.get(str(message.get("session")))
         if session is None:
-            return {"type": "error", "error": "unknown session"}
+            return error_reply("unknown session")
         pcs = message.get("pcs")
         raw_outcomes = message.get("outcomes")
         if not isinstance(pcs, list) or not isinstance(raw_outcomes, list):
-            return {"type": "error", "error": "events wants pcs/outcomes lists"}
+            return error_reply("events wants pcs/outcomes lists")
         if len(pcs) != len(raw_outcomes):
-            return {
-                "type": "error",
-                "error": f"pcs ({len(pcs)}) and outcomes ({len(raw_outcomes)}) "
-                "differ in length",
-            }
+            return error_reply(
+                f"pcs ({len(pcs)}) and outcomes ({len(raw_outcomes)}) differ in length"
+            )
         if len(pcs) > MAX_BATCH_EVENTS:
-            return {
-                "type": "error",
-                "error": f"batch of {len(pcs)} events exceeds {MAX_BATCH_EVENTS}",
-            }
+            return error_reply(f"batch of {len(pcs)} events exceeds {MAX_BATCH_EVENTS}")
         # Normalize wire ints to real bools before the hot loop: the
         # predictors' state payloads must end up bit-identical to an
         # offline run that trained on the trace's bool outcomes.
         outcomes = [bool(value) for value in raw_outcomes]
         predictions = [False] * len(pcs)
         session.mispredictions = predict_batch(
-            session.predict,
-            session.train,
+            session.predictor.predict,
+            session.predictor.train,
             pcs,
             outcomes,
             predictions,
@@ -388,10 +266,10 @@ class PredictionServer:
             "position": session.position,
         }
 
-    def _close_session(self, message: dict, sessions: dict[str, _Session]) -> dict:
-        session = sessions.pop(str(message.get("session")), None)
+    def _close_session(self, peer: Peer, message: dict) -> dict:
+        session = peer.sessions.pop(str(message.get("session")), None)
         if session is None:
-            return {"type": "error", "error": "unknown session"}
+            return error_reply("unknown session")
         state_hash = session.predictor.state_hash()
         with self._lock:
             self._open_sessions -= 1
@@ -399,7 +277,7 @@ class PredictionServer:
         self.telemetry.emit(
             "session_close",
             session=session.session_id,
-            client=session.client,
+            client=peer.name,
             events=session.events,
             mispredictions=session.mispredictions,
             elapsed_s=round(monotonic() - session.started, 6),

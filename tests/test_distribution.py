@@ -243,19 +243,20 @@ class TestProtocol:
             validate_message(hello, fsm)
 
     def test_claim_before_hello_refused(self, tmp_path):
-        # The coordinator's connection handler runs the declared
-        # campaign machine: nothing but hello is admitted from start.
+        # The shared server's dispatch runs the declared campaign
+        # machine: nothing but hello is admitted from start.  The
+        # coordinator is never served, so its listener accepts nothing;
+        # the handler entry point runs on a socketpair instead.
         coordinator = Coordinator(
             dist_plan(tmp_path / "dist", configs=("bimodal",)),
             registry_ref=REGISTRY_REF,
         )
-        coordinator._listener.close()
         import socket
         import threading
 
         server_end, client_end = socket.socketpair()
         handler = threading.Thread(
-            target=coordinator._serve_client, args=(server_end,), daemon=True
+            target=coordinator.net.handle, args=(server_end,), daemon=True
         )
         handler.start()
         try:
@@ -279,7 +280,87 @@ class TestProtocol:
         finally:
             client_end.close()
             handler.join(timeout=10)
+            coordinator.net.close()
         assert not handler.is_alive()
+
+    def handled_pair(self, coordinator):
+        """A client socket wired to the coordinator's handler entry point."""
+        import socket
+        import threading
+
+        server_end, client_end = socket.socketpair()
+        client_end.settimeout(10)
+        handler = threading.Thread(
+            target=coordinator.net.handle, args=(server_end,), daemon=True
+        )
+        handler.start()
+        return client_end, handler
+
+    @pytest.mark.parametrize(
+        "override, refusal",
+        [
+            ({"token": "wrong"}, "authentication failed"),
+            ({"token": "s3cret", "protocol": PROTOCOL_VERSION + 1},
+             "protocol version skew"),
+        ],
+    )
+    def test_failed_hello_closes_the_connection(self, tmp_path, override, refusal):
+        events = []
+        coordinator = Coordinator(
+            dist_plan(tmp_path / "dist", configs=("bimodal",)),
+            registry_ref=REGISTRY_REF,
+            auth_token="s3cret",
+            telemetry=Telemetry(subscribers=(events.append,)),
+        )
+        client_end, handler = self.handled_pair(coordinator)
+        try:
+            hello = {"type": "hello", "executor": "x", "pid": 0, "host": "h",
+                     "protocol": PROTOCOL_VERSION, **override}
+            send_message(client_end, hello)
+            reply = recv_message(client_end)
+            assert reply["type"] == "error"
+            assert refusal in reply["error"]
+            assert client_end.recv(1) == b""
+        finally:
+            client_end.close()
+            handler.join(timeout=10)
+            coordinator.net.close()
+        assert not handler.is_alive()
+        assert not events_of(events, "executor_join")
+        assert not events_of(events, "executor_dead")
+
+    def test_duplicate_hello_refused(self, tmp_path):
+        events = []
+        coordinator = Coordinator(
+            dist_plan(tmp_path / "dist", configs=("bimodal",)),
+            registry_ref=REGISTRY_REF,
+            telemetry=Telemetry(subscribers=(events.append,)),
+        )
+        client_end, handler = self.handled_pair(coordinator)
+        try:
+            for executor in ("first", "second"):
+                send_message(
+                    client_end,
+                    {"type": "hello", "executor": executor, "pid": 0,
+                     "host": "h", "protocol": PROTOCOL_VERSION},
+                )
+                reply = recv_message(client_end)
+            assert reply["type"] == "error"
+            assert "duplicate hello" in reply["error"]
+            # The connection survives the refusal, still as "first".
+            send_message(client_end, {"type": "claim", "executor": "first"})
+            assert recv_message(client_end)["type"] == "lease"
+        finally:
+            client_end.close()  # no bye: the coordinator loses "first"
+            handler.join(timeout=10)
+            coordinator.net.close()
+        assert not handler.is_alive()
+        assert [e["executor"] for e in events_of(events, "executor_join")] == [
+            "first"
+        ]
+        assert [e["executor"] for e in events_of(events, "executor_dead")] == [
+            "first"
+        ]
 
     def test_inline_trace_not_distributable(self):
         from repro.trace.records import Trace, TraceMetadata

@@ -47,7 +47,7 @@ from repro.orchestration.remote import (
     send_message,
     token_matches,
 )
-from repro.orchestration import remote
+from repro.orchestration import netserver, remote
 from repro.orchestration.telemetry import EVENT_FIELDS, SCHEMA_VERSION
 from repro.serving import (
     PROFILES,
@@ -91,6 +91,34 @@ def server_factory():
 
 def events_of(events, kind):
     return [e for e in events if e["event"] == kind]
+
+
+def wait_for(predicate, timeout, interval=0.01):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+def greeted_socket(server):
+    """A raw connection past the serve_hello handshake."""
+    sock = socket.create_connection(server.address)
+    sock.settimeout(10)
+    send_message(sock, {"type": "serve_hello", "client": "raw",
+                        "protocol": PROTOCOL_VERSION})
+    assert recv_message(sock)["type"] == "serve_welcome"
+    return sock
+
+
+def send_chunks(sock, count, size):
+    """Send ``count`` non-final chunk frames of ``size`` raw bytes each."""
+    import base64
+
+    for seq in range(count):
+        send_message(sock, {"type": "chunk", "seq": seq, "last": False,
+                            "data": base64.b64encode(b"x" * size).decode("ascii")})
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +224,37 @@ class TestChunkedFrames:
             remote.MAX_MESSAGE_BYTES = original
             left.close()
             right.close()
+
+
+class TestReassemblyCap:
+    """The assembled body is capped absolutely, not per frame."""
+
+    def test_recv_refuses_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(remote, "MAX_MESSAGE_BYTES", 256)
+        monkeypatch.setattr(remote, "MAX_ASSEMBLED_BYTES", 1000)
+        left, right = socket.socketpair()
+        right.settimeout(10)
+        try:
+            send_chunks(left, 9, 120)  # 1080 bytes, far below MAX_CHUNKS frames
+            with pytest.raises(ProtocolError, match="1000 assembled bytes"):
+                recv_message(right)
+        finally:
+            left.close()
+            right.close()
+
+    def test_server_replies_error_then_closes(self, server_factory, monkeypatch):
+        monkeypatch.setattr(remote, "MAX_MESSAGE_BYTES", 256)
+        monkeypatch.setattr(remote, "MAX_ASSEMBLED_BYTES", 1000)
+        server = server_factory(registry=toy_registry())
+        sock = greeted_socket(server)
+        try:
+            send_chunks(sock, 9, 120)
+            reply = recv_message(sock)
+            assert reply["type"] == "error"
+            assert "assembled bytes" in reply["error"]
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
 
 
 # --------------------------------------------------------------------------
@@ -513,6 +572,35 @@ class TestServerFailures:
             reply = recv_message(sock)
             assert reply["type"] == "error"
             assert "serve_hello" in reply["error"]
+        finally:
+            sock.close()
+
+    def test_silent_client_dropped_at_read_deadline(self, server_factory,
+                                                   monkeypatch):
+        monkeypatch.setattr(netserver, "IDLE_TIMEOUT_S", 0.3)
+        server = server_factory(registry=toy_registry())
+        sock = greeted_socket(server)
+        try:
+            send_message(sock, {"type": "session_open", "client": "raw",
+                                "config": "bimodal", "workload": "FP1"})
+            assert recv_message(sock)["type"] == "session"
+            assert server._open_sessions == 1
+            assert wait_for(lambda: server._open_sessions == 0, timeout=5)
+            assert server.net.live == 0
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+
+    def test_stop_releases_a_handler_blocked_on_an_idle_client(
+        self, server_factory
+    ):
+        server = server_factory(registry=toy_registry())
+        sock = greeted_socket(server)
+        try:
+            assert server.net.live == 1
+            server.stop()
+            assert wait_for(lambda: server.net.live == 0, timeout=1.0)
+            assert sock.recv(1) == b""
         finally:
             sock.close()
 
